@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import SingularMatrixError, solve_regularized
+from .linalg import SingularMatrixError, singular_error, solve_stacked
 from .signals import TapDelayLine
 
 __all__ = [
@@ -29,6 +29,8 @@ __all__ = [
     "ComplexityModel",
     "lms_step",
     "ap_step",
+    "lms_update",
+    "ap_update",
     "bndr_lms_step",
     "max_stable_mu",
     "auto_mu",
@@ -198,16 +200,45 @@ def _as_rows(x) -> np.ndarray:
     return rows
 
 
+def lms_update(w: np.ndarray, x: np.ndarray, desired, mu):
+    """LMS step for a batch of members: weights (*B, L), regressors (*B, L).
+
+    Returns (w_new, y, e): the updated weights and the a-priori outputs and
+    errors, each of shape B. ``mu`` is a scalar or has shape B.
+    """
+    y = np.vecdot(x, w)
+    e = desired - y
+    scale = mu * e
+    # a single member's scale multiplies as a scalar, much faster than broadcast
+    return w + (scale[..., None] if scale.ndim else scale) * x, y, e
+
+
+def ap_update(w: np.ndarray, X: np.ndarray, d_vec: np.ndarray, mu, delta: float):
+    """Affine-projection step for a batch of members.
+
+    Weights have shape (*B, L), data matrices (*B, k, L) newest row first and
+    desired samples (*B, k); ``mu`` is a scalar or has shape B. Solves
+    (X X^T + delta*I) eps = d_vec - X w per member and returns (w_new, y, e,
+    singular): the updated weights, the a-priori outputs and errors (*B, k)
+    and the members whose Gram matrix is numerically singular (their rows of
+    w_new are NaN).
+    """
+    y = (X @ w[..., None])[..., 0]
+    e = d_vec - y
+    Xt = np.swapaxes(X, -1, -2)
+    eps, singular = solve_stacked(X @ Xt, delta, e)
+    w_new = w + np.asarray(mu)[..., None] * (Xt @ eps[..., None])[..., 0]
+    return w_new, y, e, singular
+
+
 def lms_step(w, x, desired: float, mu: float) -> tuple[np.ndarray, StepOutcome]:
     """One LMS update: y = w.x, e = d - y, w' = w + mu*e*x."""
     if not mu > 0:
         raise ValueError(f"mu must be > 0, got {mu}")
     wv = np.asarray(w, dtype=float)
     xv = _as_vector(x)
-    y = float(xv @ wv)
-    e = desired - y
-    w_new = wv + (mu * e) * xv
-    return w_new, StepOutcome(y, e, step_multiplies(AlgorithmKind.LMS, wv.shape[0]))
+    w_new, y, e = lms_update(wv, xv, desired, mu)
+    return w_new, StepOutcome(float(y), float(e), step_multiplies(AlgorithmKind.LMS, wv.shape[0]))
 
 
 def ap_step(w, data, d_vec, mu: float, delta: float) -> tuple[np.ndarray, StepOutcome]:
@@ -229,12 +260,10 @@ def ap_step(w, data, d_vec, mu: float, delta: float) -> tuple[np.ndarray, StepOu
         raise ValueError(f"regressor length {X.shape[1]} != weight length {wv.shape[0]}")
     if d.shape != (n_rows,):
         raise ValueError(f"d_vec must have shape ({n_rows},), got {d.shape}")
-    e_vec = d - X @ wv
-    gram = X @ X.T
-    eps = solve_regularized(gram, delta, e_vec)
-    w_new = wv + mu * (X.T @ eps)
-    y = float(X[0] @ wv)
-    outcome = StepOutcome(y, float(d[0]) - y,
+    w_new, y, e, singular = ap_update(wv, X, d, mu, delta)
+    if singular:
+        raise singular_error()
+    outcome = StepOutcome(float(y[0]), float(e[0]),
                           step_multiplies(AlgorithmKind.R_AP, wv.shape[0], n_rows))
     return w_new, outcome
 

@@ -9,8 +9,9 @@ Config files are strict JSON: unknown keys are rejected and every field is
 validated against the library invariants before any run starts. All variants
 in one file consume identical noise realizations (the per-run seeds derive
 only from base_seed), so their learning curves are directly comparable.
-Outputs are deterministic: rerunning a config, with any --threads value,
-reproduces byte-identical CSV files.
+Outputs are deterministic: rerunning a config reproduces byte-identical CSV
+files. All runs of an ensemble are adapted together in one loop over time;
+--threads is still accepted and validated but changes nothing.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 """
@@ -145,8 +146,7 @@ def _parse_plant(obj) -> PlantModel:
 
 def _parse_noise(obj) -> NoiseSpec:
     fields = _pop_known(obj, "noise", {
-        "kind": None, "sigma": None, "ar_coefficient": None,
-        "fir_coefficients": None, "seed": 0,
+        "kind": None, "sigma": None, "ar_coefficient": None, "fir_coefficients": None,
     })
     kind_name = _require(fields["kind"], "noise.kind")
     try:
@@ -166,7 +166,6 @@ def _parse_noise(obj) -> NoiseSpec:
             ar_coefficient=(0.0 if fields["ar_coefficient"] is None
                             else float(fields["ar_coefficient"])),
             fir_coefficients=tuple(fields["fir_coefficients"]) if fields["fir_coefficients"] else None,
-            seed=int(fields["seed"]),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid noise: {exc}") from exc
@@ -393,8 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
                                       "of a bundled config (white, colored)")
     p_run.add_argument("--out", default=None, help="output directory (overrides the config)")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads for ensemble runs; any value yields "
-                            "identical outputs (default 1)")
+                       help="accepted for compatibility (must be >= 1); ensemble runs "
+                            "are batched in one loop, so the value changes neither "
+                            "execution nor outputs (default 1)")
 
     p_design = sub.add_parser("design", help="print high-pass FIR coefficients")
     p_design.add_argument("num_taps", type=int)

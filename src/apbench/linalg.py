@@ -1,79 +1,135 @@
 """Small dense symmetric positive-definite solves for the projection family.
 
-The Gram systems solved here are tiny (order <= 8 in practice), so the
-Cholesky factorization runs on plain Python scalars: for these sizes that is
-both faster than a LAPACK round-trip and gives exact control over the pivot
-tolerance. Only the lower triangle of the input matrix is read.
+The Gram systems solved here are tiny (order <= 8 in practice) but come in
+stacks, one per ensemble member. The Cholesky factorization therefore loops
+over the matrix indices in Python and is vectorized over the stack: every
+member sees exactly the scalar operation sequence of a textbook column
+Cholesky, so its result does not depend on what else is in the stack, and
+the pivot tolerance is under exact control. Only the lower triangle of the
+input matrix is read by the factorization.
 """
 
 from __future__ import annotations
 
-from math import sqrt
-
 import numpy as np
 
-__all__ = ["SingularMatrixError", "solve_regularized", "PIVOT_RTOL", "RESIDUAL_RTOL"]
+__all__ = [
+    "SingularMatrixError",
+    "solve_regularized",
+    "solve_stacked",
+    "singular_error",
+    "PIVOT_RTOL",
+    "RESIDUAL_RTOL",
+]
 
 # pivot smaller than PIVOT_RTOL * max diagonal entry counts as singular
 PIVOT_RTOL = 1e-12
 # guaranteed residual bound: max|A x - b| <= RESIDUAL_RTOL * (1 + max|b|)
 RESIDUAL_RTOL = 1e-10
+# iterative-refinement passes allowed before the bound counts as unreachable
+REFINEMENT_PASSES = 3
 
 
 class SingularMatrixError(ArithmeticError):
     """Factorization hit a pivot below tolerance (matrix numerically singular)."""
 
 
-def _cholesky(a: list[list[float]], n: int, tol: float) -> list[list[float]]:
-    """In-place lower Cholesky of ``a`` with a relative pivot check."""
+def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of stacked matrices, with a relative pivot check.
+
+    Returns (chol, singular). A member whose pivot falls to PIVOT_RTOL times
+    its own largest diagonal entry or below is flagged singular; its factor
+    is finished with unit pivots and must not be used.
+    """
+    n = a.shape[-1]
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    tol = PIVOT_RTOL * np.max(diag, axis=-1)
+    chol = np.zeros_like(a)
+    singular = np.zeros(a.shape[:-2], dtype=bool)
     for j in range(n):
-        row_j = a[j]
-        d = row_j[j]
+        d = a[..., j, j]
         for k in range(j):
-            d -= row_j[k] * row_j[k]
-        if d <= tol:
-            raise SingularMatrixError(
-                f"pivot {d:.3e} at index {j} below tolerance {tol:.3e}; "
-                "the Gram matrix is numerically singular (consider a "
-                "regularization constant > 0)"
-            )
-        dj = sqrt(d)
-        row_j[j] = dj
-        for i in range(j + 1, n):
-            row_i = a[i]
-            s = row_i[j]
-            for k in range(j):
-                s -= row_i[k] * row_j[k]
-            row_i[j] = s / dj
-    return a
+            d = d - chol[..., j, k] * chol[..., j, k]
+        bad = d <= tol
+        singular |= bad
+        dj = np.sqrt(np.where(bad, 1.0, d))
+        chol[..., j, j] = dj
+        s = a[..., j + 1:, j]
+        for k in range(j):
+            s = s - chol[..., j + 1:, k] * chol[..., j, k, None]
+        chol[..., j + 1:, j] = s / dj[..., None]
+    return chol, singular
 
 
-def _solve_factored(chol: list[list[float]], b: list[float], n: int) -> list[float]:
-    y = [0.0] * n
-    for i in range(n):
-        s = b[i]
-        row = chol[i]
-        for k in range(i):
-            s -= row[k] * y[k]
-        y[i] = s / row[i]
-    x = [0.0] * n
+def _substitute(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = b for every member of the stack."""
+    n = chol.shape[-1]
+    y = b.copy()
+    for k in range(n):
+        y[..., k] /= chol[..., k, k]
+        y[..., k + 1:] -= chol[..., k + 1:, k] * y[..., k, None]
+    x = np.empty_like(y)
     for i in range(n - 1, -1, -1):
-        s = y[i]
+        s = y[..., i]
         for k in range(i + 1, n):
-            s -= chol[k][i] * x[k]
-        x[i] = s / chol[i][i]
+            s = s - chol[..., k, i] * x[..., k]
+        x[..., i] = s / chol[..., i, i]
     return x
 
 
-def _residual(a: list[list[float]], x: list[float], b: list[float], n: int) -> list[float]:
-    r = []
-    for i in range(n):
-        s = b[i]
-        row = a[i]
-        for k in range(n):
-            s -= row[k] * x[k]
-        r.append(s)
-    return r
+def _residual_norm(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual b - A x of every member and its largest magnitude."""
+    r = b.copy()
+    for k in range(a.shape[-1]):
+        r -= a[..., :, k] * x[..., k, None]
+    return r, np.max(np.abs(r), axis=-1)
+
+
+def solve_stacked(gram, delta: float, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (gram + delta*I) x = rhs for every system of a stack.
+
+    ``gram`` has shape (..., n, n) and ``rhs`` (..., n); each member is an
+    independent symmetric PSD system with solve_regularized's contract.
+    Returns (x, singular): ``singular`` flags the members whose factorization
+    met a pivot below tolerance, and their rows of ``x`` are NaN. Raises
+    ArithmeticError when a nonsingular member cannot reach the residual
+    bound. Non-finite systems pass through unflagged.
+    """
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    g = np.asarray(gram, dtype=float)
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
+        raise ValueError(f"gram must be square, got shape {g.shape}")
+    b = np.asarray(rhs, dtype=float)
+    n = g.shape[-1]
+    if n == 0:
+        raise ValueError("gram must be at least 1 x 1")
+    if b.shape != g.shape[:-1]:
+        raise ValueError(f"rhs must have shape {g.shape[:-1]}, got {b.shape}")
+
+    a = g + delta * np.eye(n) if delta else g
+    chol, singular = _cholesky(a)
+    x = _substitute(chol, b)
+    bound = RESIDUAL_RTOL * (1.0 + np.max(np.abs(b), axis=-1))
+    r, r_norm = _residual_norm(a, x, b)
+    for _ in range(REFINEMENT_PASSES):
+        # a NaN residual (non-finite system) never counts as short of the bound
+        short = (r_norm > bound) & ~singular
+        if not short.any():
+            break
+        x = np.where(short[..., None], x + _substitute(chol, r), x)
+        r, r_norm = _residual_norm(a, x, b)
+    unmet = (r_norm > bound) & ~singular
+    if unmet.any():
+        # unreachable in float64 when ||x|| >> ||rhs|| (extreme delta/Gram
+        # ratios); raising beats silently returning an out-of-contract result
+        worst = np.unravel_index(np.argmax(np.where(unmet, r_norm / bound, 0.0)), unmet.shape)
+        raise ArithmeticError(
+            "solve_regularized could not reach the guaranteed residual "
+            f"bound {bound[worst]:.3e} (residual {r_norm[worst]:.3e})"
+        )
+    x[singular] = np.nan
+    return x, singular
 
 
 def solve_regularized(gram, delta: float, rhs) -> np.ndarray:
@@ -85,44 +141,23 @@ def solve_regularized(gram, delta: float, rhs) -> np.ndarray:
     returned solution satisfies max|A x - rhs| <= RESIDUAL_RTOL * (1 +
     max|rhs|); iterative refinement runs (at most three passes) whenever a
     substitution falls short of that bound.
+
+    Stacked systems of shape (..., n, n) with right-hand sides (..., n) are
+    solved member by member under the same contract; a singular member
+    raises for the whole stack (see solve_stacked for per-member flags).
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    g = np.asarray(gram, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"gram must be square, got shape {g.shape}")
-    b_arr = np.asarray(rhs, dtype=float)
-    n = g.shape[0]
-    if n == 0:
-        raise ValueError("gram must be at least 1 x 1")
-    if b_arr.shape != (n,):
-        raise ValueError(f"rhs must have shape ({n},), got {b_arr.shape}")
+    x, singular = solve_stacked(gram, delta, rhs)
+    if singular.any():
+        raise singular_error(singular)
+    return x
 
-    a = g.tolist()
-    if delta:
-        for i in range(n):
-            a[i][i] += delta
-    max_diag = max(a[i][i] for i in range(n))
-    tol = PIVOT_RTOL * max_diag
 
-    sys_rows = [row[:] for row in a]  # factorization below clobbers `a`
-    chol = _cholesky(a, n, tol)
-    b = b_arr.tolist()
-    x = _solve_factored(chol, b, n)
-
-    bound = RESIDUAL_RTOL * (1.0 + max(abs(v) for v in b)) if n else 0.0
-    r = _residual(sys_rows, x, b, n)
-    for _ in range(3):
-        if max(abs(v) for v in r) <= bound:
-            return np.array(x)
-        corr = _solve_factored(chol, r, n)
-        x = [x[i] + corr[i] for i in range(n)]
-        r = _residual(sys_rows, x, b, n)
-    if max(abs(v) for v in r) > bound:
-        # unreachable in float64 when ||x|| >> ||rhs|| (extreme delta/Gram
-        # ratios); raising beats silently returning an out-of-contract result
-        raise ArithmeticError(
-            "solve_regularized could not reach the guaranteed residual "
-            f"bound {bound:.3e} (residual {max(abs(v) for v in r):.3e})"
-        )
-    return np.array(x)
+def singular_error(singular: np.ndarray | None = None) -> SingularMatrixError:
+    """The error reported for a singular system, naming the flagged stack members."""
+    where = ""
+    if singular is not None and singular.ndim:
+        where = f" (stack member(s) {np.argwhere(singular).tolist()})"
+    return SingularMatrixError(
+        f"pivot below tolerance {PIVOT_RTOL:.0e} x max diagonal{where}; the Gram "
+        "matrix is numerically singular (consider a regularization constant > 0)"
+    )

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "TapDelayLine",
@@ -127,6 +126,9 @@ def generate_noise(spec: NoiseSpec, count: int) -> np.ndarray:
     w = spec.sigma * rng.standard_normal(count)
     if spec.kind is NoiseKind.WHITE:
         return w
+    # imported only for colored noise: loading scipy.signal costs more than a white run
+    from scipy.signal import lfilter
+
     if spec.kind is NoiseKind.AR1_COLORED:
         return lfilter([1.0], [1.0, -spec.ar_coefficient], w)
     return lfilter(list(spec.fir_coefficients), [1.0], w)

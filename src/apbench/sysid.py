@@ -6,19 +6,29 @@ the squared a-priori error per iteration. Runs are pure functions of
 (config, run_index): the input noise is seeded with base_seed XOR run_index
 and the optional measurement noise with an independent salted stream, so
 ensembles are bit-reproducible and order-independent.
+
+The members of an ensemble share the iteration count, projection order and
+filter length, so one loop over time adapts all of them at once: weights of
+shape (*B, L), data matrices of shape (*B, k, L) taken as strided views of
+the inputs, errors of shape (*B, k), with B = (R,) for an ensemble and
+B = () for a single run (also a one-run ensemble). Every member goes through
+the same floating-point operations whatever else is in the batch, so its
+results are bit-identical in an ensemble of any size and in run_single.
+The ``max_workers`` argument (``--threads`` on the command line) is still
+accepted and validated but no longer changes how a run executes or what it
+outputs.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .algorithms import AlgorithmConfig, AlgorithmKind, MuMode, ap_step, lms_step, step_multiplies
-from .linalg import SingularMatrixError
+from .algorithms import AlgorithmConfig, AlgorithmKind, MuMode, ap_update, lms_update, step_multiplies
+from .linalg import singular_error
 from .metrics import MSE_FLOOR, MseTrace
 from .signals import NoiseKind, NoiseSpec, generate_noise, input_variance
 
@@ -46,7 +56,7 @@ AUTO_MU_CAP = 1.0
 class AdaptationError(RuntimeError):
     """An adaptation step failed; carries the run index and iteration."""
 
-    def __init__(self, run_index: int, iteration: int, cause: Exception):
+    def __init__(self, run_index: int, iteration: int, cause: Exception | str):
         super().__init__(f"run {run_index} failed at iteration {iteration}: {cause}")
         self.run_index = run_index
         self.iteration = iteration
@@ -95,6 +105,16 @@ class ExperimentConfig:
                 f"plant ({self.plant.length} taps): the plant cannot be identified exactly",
                 stacklevel=2,
             )
+        algo = self.algorithm
+        if algo.kind is AlgorithmKind.LMS:
+            # 2/(L Var(x)) = 2/tr(R) is the classic LMS step-size stability bound
+            trace_r = algo.filter_length * input_variance(self.noise)
+            if algo.mu * trace_r > 2.0:
+                warnings.warn(
+                    f"LMS mu {algo.mu} exceeds 2/(L*Var(x)) = {2.0 / trace_r:.3g}: "
+                    "the filter is expected to diverge",
+                    stacklevel=2,
+                )
 
 
 @dataclass(frozen=True)
@@ -116,108 +136,181 @@ class EnsembleResult:
         return np.mean([r.final_weights for r in self.runs], axis=0)
 
 
-def _desired_signal(config: ExperimentConfig, input_seed: int, x: np.ndarray) -> np.ndarray:
+def _member_signals(config: ExperimentConfig, run_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input x and desired response d of one run; a pure function of its index."""
+    input_seed = (config.base_seed ^ run_index) & _SEED_MASK
+    x = generate_noise(replace(config.noise, seed=input_seed), config.iterations)
     d = np.convolve(x, config.plant.h)[: x.shape[0]]
     sigma_v = config.plant.measurement_noise_sigma
     if sigma_v > 0:
         spec = NoiseSpec(kind=NoiseKind.WHITE, sigma=sigma_v,
                          seed=(input_seed ^ MEASUREMENT_STREAM_SALT) & _SEED_MASK)
         d = d + generate_noise(spec, x.shape[0])
-    return d
+    return x, d
+
+
+def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray):
+    """The adaptation loop: every member of a batch, one time step at a time.
+
+    ``x`` and ``d`` hold each member's input and desired signal, shape
+    (*B, T). Weights start at zero; each iteration pushes one input sample
+    and performs one step of the configured algorithm for all members.
+
+    Returns the a-priori errors (T, *B), the final weights (*B, L) and, per
+    member, the iteration at which its projection step failed as singular
+    (-1 if never); a failed member keeps its weights from then on.
+    """
+    L, N = algo.filter_length, algo.projection_order
+    batch, T = x.shape[:-1], x.shape[-1]
+    # after N + L - 2 leading zeros every row of every data matrix is a window:
+    # regressors[m] is the tap-delay line at time m - N + 1, newest sample first
+    xp = np.concatenate([np.zeros(batch + (N + L - 2,)), x], axis=-1)
+    regressors = np.moveaxis(sliding_window_view(xp, L, axis=-1)[..., ::-1], -2, 0)
+    errors = np.empty((T,) + batch)
+    failed_at = np.full(batch, -1)
+    if algo.kind is AlgorithmKind.LMS:
+        step = _lms_step(algo, regressors, d)
+    else:
+        step = _projection_step(algo, delta, regressors, d, failed_at)
+    w = np.zeros(batch + (L,))
+    # non-finite values are reported as divergence once the loop has ended
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for n in range(T):
+            w, errors[n] = step(n, w)
+    return errors, w, failed_at
+
+
+def _lms_step(algo: AlgorithmConfig, regressors: np.ndarray, d: np.ndarray):
+    """Iteration n of LMS for a batch: (n, w) -> (w_new, a-priori error)."""
+    mu = algo.mu
+    d_now = np.moveaxis(d, -1, 0)
+
+    def step(n, w):
+        w_new, _, e = lms_update(w, regressors[n], d_now[n], mu)
+        return w_new, e
+
+    return step
+
+
+def _projection_step(algo: AlgorithmConfig, delta: float, regressors: np.ndarray,
+                     d: np.ndarray, failed_at: np.ndarray):
+    """Iteration n of BNDR-LMS or R-AP for a batch: (n, w) -> (w_new, error).
+
+    Iterations with fewer than N-1 past samples use the regressors available
+    so far: the all-zero padding rows carry no constraint and are omitted,
+    which equals the zero-padded update in the regularized limit. A member
+    whose newest regressor is all zero has nothing to project onto and keeps
+    its weights. A member that is singular after warm-up is recorded in
+    ``failed_at`` and keeps its weights from then on.
+    """
+    N, L = algo.projection_order, algo.filter_length
+    # rows[n][..., i, :] is the regressor at time n - i; d_rows likewise
+    rows = np.swapaxes(sliding_window_view(regressors, N, axis=0), -1, -2)[..., ::-1, :]
+    dp = np.concatenate([np.zeros(d.shape[:-1] + (N - 1,)), d], axis=-1)
+    d_rows = np.moveaxis(sliding_window_view(dp, N, axis=-1)[..., ::-1], -2, 0)
+    auto = algo.mu_mode is MuMode.AUTO_NORMALIZED
+    warmup = N + L - 2  # rows are not fully populated before this
+
+    def step(n, w):
+        k = min(n + 1, N)
+        X = rows[n][..., :k, :]
+        d_vec = d_rows[n][..., :k]
+        norm2 = np.vecdot(X[..., 0, :], X[..., 0, :])
+        mu = np.minimum(1.0 / (algo.normalization_order * norm2), AUTO_MU_CAP) if auto \
+            else algo.mu
+        w_new, _, e, singular = ap_update(w, X, d_vec, mu, delta)
+        idle = (norm2 == 0.0) | (failed_at >= 0)
+        stuck = singular & ~idle
+        if stuck.any():
+            if n < warmup:
+                stuck = _shed_rows(w, X, d_vec, mu, delta, stuck, w_new)
+            failed_at[stuck] = n
+            idle |= stuck
+        if idle.any():
+            w_new = np.where(idle[..., None], w, w_new)
+        return w_new, e[..., 0]
+
+    return step
+
+
+def _shed_rows(w, X, d_vec, mu, delta, stuck, w_new) -> np.ndarray:
+    """Warm-up fallback for the members whose projection step was singular.
+
+    While the regressors are still filling up, an old sparse row can make
+    the Gram numerically singular with delta = 0 although it adds (almost)
+    nothing. Each stuck member sheds its oldest rows one at a time, as the
+    pseudo-inverse limit would, until its step succeeds; the result is
+    written into ``w_new``. Returns the members still singular with one row.
+    """
+    mu = np.broadcast_to(mu, stuck.shape)
+    for rows in range(X.shape[-2] - 1, 0, -1):
+        w_try, _, _, singular = ap_update(w[stuck], X[stuck][:, :rows],
+                                          d_vec[stuck][:, :rows], mu[stuck], delta)
+        solved = np.zeros_like(stuck)
+        solved[stuck] = ~singular
+        w_new[solved] = w_try[~singular]
+        stuck = stuck & ~solved
+        if not stuck.any():
+            break
+    return stuck
+
+
+def _run(config: ExperimentConfig, run_indices: range) -> tuple[RunResult, ...]:
+    """Adapt the given runs together; a single run is adapted unbatched.
+
+    Raises AdaptationError for the lowest failing run index, at its first
+    failing iteration: a singular projection step after warm-up, or a
+    non-finite error or weight ("diverged").
+    """
+    algo = config.algorithm
+    L, T = algo.filter_length, config.iterations
+    signals = [_member_signals(config, r) for r in run_indices]
+    x, d = signals[0] if len(signals) == 1 else (np.stack(s) for s in zip(*signals))
+    delta = algo.resolved_delta(input_variance(config.noise))
+    errors, w, failed_at = _adapt(algo, delta, x, d)
+
+    errors = np.ascontiguousarray(errors.reshape(T, -1).T)
+    w = w.reshape(-1, L)
+    failed_at = failed_at.reshape(-1)
+    finite = np.isfinite(errors)
+    # first non-finite error; weights that overflow in the last step count there
+    diverged_at = np.where(finite.all(axis=1), T, np.argmin(finite, axis=1))
+    diverged_at = np.where(np.isfinite(w).all(axis=1), diverged_at,
+                           np.minimum(diverged_at, T - 1))
+    singular_at = np.where(failed_at >= 0, failed_at, T)
+    failing = np.flatnonzero(np.minimum(diverged_at, singular_at) < T)
+    if failing.size:
+        m = failing[0]
+        if singular_at[m] <= diverged_at[m]:
+            cause = singular_error()
+            raise AdaptationError(run_indices[m], int(singular_at[m]), cause) from cause
+        raise AdaptationError(run_indices[m], int(diverged_at[m]), "diverged")
+
+    mse = errors * errors
+    total = T * step_multiplies(algo.kind, L, algo.projection_order)
+    return tuple(RunResult(mse_trace=mse[m], final_weights=w[m], total_multiplies=total)
+                 for m in range(len(run_indices)))
 
 
 def run_single(config: ExperimentConfig, run_index: int) -> RunResult:
     """One adaptation run; deterministic given (config, run_index).
 
-    Weights start at zero. Each iteration pushes one input sample, forms the
-    data matrix from the most recent regressors (iterations with fewer than
-    N-1 past samples use the regressors available so far: the all-zero
-    padding rows carry no constraint and are omitted, which equals the
-    zero-padded update in the regularized limit), performs one step of the
-    configured algorithm and records the squared a-priori error.
+    This is the batched adaptation loop at batch shape (): its results are
+    bit-identical to member ``run_index`` of any ensemble that contains it.
     """
-    algo = config.algorithm
-    L = algo.filter_length
-    T = config.iterations
-    input_seed = (config.base_seed ^ run_index) & _SEED_MASK
-    x = generate_noise(replace(config.noise, seed=input_seed), T)
-    d = _desired_signal(config, input_seed, x)
-
-    # taps[n] is the tap-delay line after pushing x[0..n]: newest sample first
-    xp = np.concatenate([np.zeros(L - 1), x])
-    taps = sliding_window_view(xp, L)[:, ::-1]
-    w = np.zeros(L)
-    mse = np.empty(T)
-
-    try:
-        if algo.kind is AlgorithmKind.LMS:
-            mu = algo.mu
-            for n in range(T):
-                w, out = lms_step(w, taps[n], d[n], mu)
-                mse[n] = out.error_e * out.error_e
-        else:
-            N = algo.projection_order
-            delta = algo.resolved_delta(input_variance(config.noise))
-            if N > 1:
-                taps_ext = np.concatenate([np.zeros((N - 1, L)), taps])
-                d_ext = np.concatenate([np.zeros(N - 1), d])
-            else:
-                taps_ext, d_ext = taps, d
-            fixed = algo.mu_mode is MuMode.FIXED
-            mu = algo.mu if fixed else 0.0
-            order = algo.normalization_order
-            warmup = N + L - 2  # rows are not fully populated before this
-            for n in range(T):
-                X = taps_ext[n : n + N][::-1]
-                d_vec = d_ext[n : n + N][::-1]
-                if n < N - 1:
-                    keep = X.any(axis=1)
-                    X = X[keep]
-                    d_vec = d_vec[keep]
-                if not fixed:
-                    norm2 = float(X[0] @ X[0]) if X.shape[0] else 0.0
-                    if norm2 == 0.0:
-                        e = d[n] - float(taps[n] @ w)
-                        mse[n] = e * e
-                        continue
-                    mu = min(1.0 / (order * norm2), AUTO_MU_CAP)
-                elif X.shape[0] == 0:
-                    e = d[n] - float(taps[n] @ w)
-                    mse[n] = e * e
-                    continue
-                while True:
-                    try:
-                        w, out = ap_step(w, X, d_vec, mu, delta)
-                        mse[n] = out.error_e * out.error_e
-                        break
-                    except SingularMatrixError:
-                        # while the regressors are still filling up, an old
-                        # sparse row can make the Gram numerically singular
-                        # with delta = 0 although it adds (almost) nothing;
-                        # shed it and retry, as the pseudo-inverse limit would
-                        if n >= warmup or X.shape[0] <= 1:
-                            raise
-                        X = X[:-1]
-                        d_vec = d_vec[:-1]
-    except SingularMatrixError as exc:
-        raise AdaptationError(run_index, n, exc) from exc
-
-    per_step = step_multiplies(algo.kind, L, algo.projection_order)
-    return RunResult(mse_trace=mse, final_weights=w, total_multiplies=T * per_step)
+    return _run(config, range(run_index, run_index + 1))[0]
 
 
 def run_ensemble(config: ExperimentConfig, max_workers: int = 1) -> EnsembleResult:
     """Average squared error over ensemble_runs independent runs.
 
-    The result is bitwise independent of max_workers: every run depends only
-    on (config, run_index) and the reduction is done in run-index order.
+    All runs are adapted together in one loop over time. ``max_workers``
+    must be >= 1; it is kept for compatibility and changes neither how the
+    ensemble runs nor its result.
     """
-    indices = range(config.ensemble_runs)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            runs = tuple(pool.map(lambda i: run_single(config, i), indices))
-    else:
-        runs = tuple(run_single(config, i) for i in indices)
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    runs = _run(config, range(config.ensemble_runs))
     mean_e2 = np.mean(np.stack([r.mse_trace for r in runs]), axis=0)
     values_db = 10.0 * np.log10(np.maximum(mean_e2, MSE_FLOOR))
     return EnsembleResult(trace=MseTrace(values_db, smoothing_window=1), runs=runs)

@@ -1,6 +1,11 @@
 """Tests for the experiment-file CLI: validation, artifacts, determinism."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +19,8 @@ from apbench.cli import (
     resolve_config_path,
 )
 from apbench.signals import design_highpass_fir
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(apbench.linalg.__file__)))
 
 
 def _tiny_config(out_dir, **overrides):
@@ -186,9 +193,31 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "iteration" in err
 
+    def test_noise_seed_key_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = _tiny_config(out, noise={"kind": "white", "sigma": 1.0, "seed": 3})
+        path = _write_config(tmp_path, config)
+        assert main(["run", str(path)]) == 1
+        assert "unknown key(s) in noise: seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_divergence_is_a_runtime_failure_without_traceback(self, tmp_path, capsys):
+        config = _tiny_config(tmp_path / "out", iterations=400,
+                              noise={"kind": "ar1", "sigma": 1.0, "ar_coefficient": 0.9})
+        config["algorithms"] = [{"name": "lms", "kind": "lms", "filter_length": 7, "mu": 0.5}]
+        path = _write_config(tmp_path, config)
+        with pytest.warns(UserWarning, match="expected to diverge"):
+            code = main(["run", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.fullmatch(r"runtime error: run 0 failed at iteration \d+: diverged\n", err)
+        assert "Traceback" not in err
+
     def test_bundled_configs_resolve_and_validate(self):
         for name in ("white", "colored"):
-            spec = load_experiment_file(resolve_config_path(name))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # e.g. no LMS step-size warning
+                spec = load_experiment_file(resolve_config_path(name))
             assert spec.iterations >= 500
             assert spec.ensemble_runs == 100
             assert [n for n, _ in spec.variants] == ["lms", "bndr_lms", "r_ap"]
@@ -222,3 +251,14 @@ class TestSelftestCommand:
 def test_usage_errors_are_validation_failures():
     assert main(["bogus-command"]) == 1
     assert main(["run"]) == 1
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is only needed to color noise; loading it costs more than
+    # a whole white-noise run
+    code = ("import sys; import apbench; from apbench import cli; "
+            "print('scipy.signal' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

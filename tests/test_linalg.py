@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from apbench.linalg import RESIDUAL_RTOL, SingularMatrixError, solve_regularized
+from apbench.linalg import RESIDUAL_RTOL, SingularMatrixError, solve_regularized, solve_stacked
 
 
 def test_identity_system():
@@ -81,3 +81,37 @@ def test_input_validation():
         solve_regularized(np.ones((2, 3)), 0.0, [1.0, 1.0])
     with pytest.raises(ValueError):
         solve_regularized(np.eye(2), 0.0, [1.0, 1.0, 1.0])
+
+
+def test_stacked_members_match_single_solves_and_are_flagged_per_member():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 4):
+        a = rng.standard_normal((20, n, n + 1))
+        gram = a @ np.swapaxes(a, -1, -2)
+        gram[7] = np.ones((n, n))  # singular without regularization
+        rhs = rng.standard_normal((20, n))
+        x, singular = solve_stacked(gram, 0.0, rhs)
+        assert singular.tolist() == [n > 1 and r == 7 for r in range(20)]
+        for r in range(20):
+            if singular[r]:
+                assert np.all(np.isnan(x[r]))
+                with pytest.raises(SingularMatrixError):
+                    solve_regularized(gram[r], 0.0, rhs[r])
+            else:
+                assert np.array_equal(x[r], solve_regularized(gram[r], 0.0, rhs[r]))
+
+
+def test_stacked_solve_regularized_raises_for_a_singular_member():
+    gram = np.stack([np.eye(2), np.ones((2, 2))])
+    with pytest.raises(SingularMatrixError, match=r"member\(s\) \[\[1\]\]"):
+        solve_regularized(gram, 0.0, np.ones((2, 2)))
+    x = solve_regularized(gram, 1e-3, np.ones((2, 2)))
+    np.testing.assert_allclose(x[1], [1.0 / (2.0 + 1e-3)] * 2, rtol=1e-8)
+
+
+def test_pivot_tolerance_is_relative_to_each_members_own_diagonal():
+    # one member 1e30 times larger must not make the tiny one singular
+    gram = np.stack([np.array([[1e-30]]), np.array([[1.0]])]) * [[[1.0]], [[1e30]]]
+    x, singular = solve_stacked(gram, 0.0, np.array([[2e-30], [1e30]]))
+    assert not singular.any()
+    np.testing.assert_allclose(x[:, 0], [2.0, 1.0])

@@ -1,5 +1,7 @@
 """Tests for the identification loop and ensemble harness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -249,12 +251,41 @@ class TestRunEnsemble:
             run_ensemble(config)
         assert err.value.run_index == 0
 
+    def test_divergence_reports_lowest_run_and_first_nonfinite_iteration(self):
+        # LMS far above its step-size bound under colored excitation
+        noise = NoiseSpec(NoiseKind.AR1_COLORED, sigma=1.0, ar_coefficient=0.9)
+        algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=7, mu=0.5)
+        with pytest.warns(UserWarning, match=r"exceeds 2/\(L\*Var\(x\)\)"):
+            config = _config(algo, design_highpass_fir(7, 0.5), iterations=400, runs=3,
+                             seed=7, noise=noise)
+        firsts = []
+        for r in range(3):
+            with pytest.raises(AdaptationError) as err:
+                run_single(config, r)
+            assert str(err.value).endswith(": diverged")
+            firsts.append(err.value.iteration)
+        assert all(0 < n < 400 for n in firsts)  # really diverges within T
+        with pytest.raises(AdaptationError, match="diverged") as err:
+            run_ensemble(config)
+        assert (err.value.run_index, err.value.iteration) == (0, firsts[0])
+
+    def test_max_workers_below_one_rejected(self):
+        algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=4, mu=0.05)
+        with pytest.raises(ValueError, match="max_workers"):
+            run_ensemble(_config(algo, [1.0, 0.3], iterations=50, runs=3), max_workers=0)
+
 
 class TestExperimentConfig:
     def test_under_modeling_warns(self):
         algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=2, mu=0.1)
         with pytest.warns(UserWarning, match="shorter than the plant"):
             _config(algo, [1.0, 0.5, 0.25])
+
+    def test_stable_lms_step_size_does_not_warn(self):
+        algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=13, mu=0.15)  # 2/13 = 0.154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _config(algo, [1.0])
 
     def test_validation(self):
         algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=2, mu=0.1)
