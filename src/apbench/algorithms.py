@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import SingularMatrixError, singular_error, solve_stacked
+from .linalg import SingularMatrixError, solve_regularized, solve_stacked
 from .signals import TapDelayLine
 
 __all__ = [
@@ -223,12 +223,21 @@ def ap_update(w: np.ndarray, X: np.ndarray, d_vec: np.ndarray, mu, delta: float)
     and the members whose Gram matrix is numerically singular (their rows of
     w_new are NaN).
     """
-    y = (X @ w[..., None])[..., 0]
-    e = d_vec - y
+    y, e = _ap_errors(w, X, d_vec)
     Xt = np.swapaxes(X, -1, -2)
     eps, singular = solve_stacked(X @ Xt, delta, e)
-    w_new = w + np.asarray(mu)[..., None] * (Xt @ eps[..., None])[..., 0]
-    return w_new, y, e, singular
+    return _ap_correct(w, Xt, eps, mu), y, e, singular
+
+
+def _ap_errors(w, X, d_vec):
+    """A-priori outputs X w and errors d_vec - X w of a batch, each (*B, k)."""
+    y = (X @ w[..., None])[..., 0]
+    return y, d_vec - y
+
+
+def _ap_correct(w, Xt, eps, mu):
+    """Weights moved along the rows: w + mu * X^T eps, with Xt = X^T."""
+    return w + np.asarray(mu)[..., None] * (Xt @ eps[..., None])[..., 0]
 
 
 def lms_step(w, x, desired: float, mu: float) -> tuple[np.ndarray, StepOutcome]:
@@ -260,9 +269,10 @@ def ap_step(w, data, d_vec, mu: float, delta: float) -> tuple[np.ndarray, StepOu
         raise ValueError(f"regressor length {X.shape[1]} != weight length {wv.shape[0]}")
     if d.shape != (n_rows,):
         raise ValueError(f"d_vec must have shape ({n_rows},), got {d.shape}")
-    w_new, y, e, singular = ap_update(wv, X, d, mu, delta)
-    if singular:
-        raise singular_error()
+    # ap_update's operations, with the solve through solve_regularized
+    y, e = _ap_errors(wv, X, d)
+    eps = solve_regularized(X @ X.T, delta, e)
+    w_new = _ap_correct(wv, X.T, eps, mu)
     outcome = StepOutcome(float(y[0]), float(e[0]),
                           step_multiplies(AlgorithmKind.R_AP, wv.shape[0], n_rows))
     return w_new, outcome
