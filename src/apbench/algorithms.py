@@ -213,7 +213,7 @@ def lms_update(w: np.ndarray, x: np.ndarray, desired, mu):
     return w + (scale[..., None] if scale.ndim else scale) * x, y, e
 
 
-def ap_update(w: np.ndarray, X: np.ndarray, d_vec: np.ndarray, mu, delta: float):
+def ap_update(w: np.ndarray, X: np.ndarray, d_vec: np.ndarray, mu, delta: float, skip=None):
     """Affine-projection step for a batch of members.
 
     Weights have shape (*B, L), data matrices (*B, k, L) newest row first and
@@ -221,11 +221,12 @@ def ap_update(w: np.ndarray, X: np.ndarray, d_vec: np.ndarray, mu, delta: float)
     (X X^T + delta*I) eps = d_vec - X w per member and returns (w_new, y, e,
     singular): the updated weights, the a-priori outputs and errors (*B, k)
     and the members whose Gram matrix is numerically singular (their rows of
-    w_new are NaN).
+    w_new are NaN). The members flagged in ``skip`` (shape B) discard their
+    update, so their solve is not held to the residual bound.
     """
     y, e = _ap_errors(w, X, d_vec)
     Xt = np.swapaxes(X, -1, -2)
-    eps, singular = solve_stacked(X @ Xt, delta, e)
+    eps, singular = solve_stacked(X @ Xt, delta, e, skip)
     return _ap_correct(w, Xt, eps, mu), y, e, singular
 
 

@@ -1,15 +1,18 @@
 """Small dense symmetric positive-definite solves for the projection family.
 
 The Gram systems solved here are tiny (order <= 8 in practice) but come in
-stacks, one per ensemble member. The Cholesky factorization therefore loops
-over the matrix indices in Python and is vectorized over the stack: every
-member sees exactly the scalar operation sequence of a textbook column
-Cholesky, so its result does not depend on what else is in the stack, and
-the pivot tolerance is under exact control. Only the lower triangle of the
-input matrix is read by the factorization.
+stacks, one per ensemble member. The solver therefore loops over the matrix
+indices in Python, on entries that are arrays over the stack (or Python
+floats for a single system): every member sees exactly the scalar operation
+sequence of a textbook Cholesky, so its result does not depend on what else
+is in the stack, and the pivot tolerance is under exact control. Only the
+lower triangle of the input matrix is read by the factorization.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -34,58 +37,113 @@ class SingularMatrixError(ArithmeticError):
     """Factorization hit a pivot below tolerance (matrix numerically singular)."""
 
 
-def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factors of stacked matrices, with a relative pivot check.
+def _largest(values):
+    """Entrywise maximum of the values; NaN wherever one of them is NaN."""
+    if isinstance(values[0], np.ndarray):
+        return functools.reduce(np.maximum, values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
+def _select(flag, a, b):
+    """``a`` where ``flag`` is set, else ``b``."""
+    return np.where(flag, a, b) if isinstance(flag, np.ndarray) else (a if flag else b)
+
+
+def _cholesky(a: list, n: int) -> tuple[list, object]:
+    """Lower Cholesky factor of ``a``, column by column, with a relative pivot check.
 
     Returns (chol, singular). A member whose pivot falls to PIVOT_RTOL times
     its own largest diagonal entry or below is flagged singular; its factor
     is finished with unit pivots and must not be used.
     """
-    n = a.shape[-1]
-    diag = np.diagonal(a, axis1=-2, axis2=-1)
-    tol = PIVOT_RTOL * np.max(diag, axis=-1)
-    chol = np.zeros_like(a)
-    singular = np.zeros(a.shape[:-2], dtype=bool)
+    tol = PIVOT_RTOL * _largest([a[j][j] for j in range(n)])
+    chol = [[0.0] * (i + 1) for i in range(n)]
+    singular = False
     for j in range(n):
-        d = a[..., j, j]
+        row_j = chol[j]
+        d = a[j][j]
         for k in range(j):
-            d = d - chol[..., j, k] * chol[..., j, k]
+            d = d - row_j[k] * row_j[k]
         bad = d <= tol
-        singular |= bad
-        dj = np.sqrt(np.where(bad, 1.0, d))
-        chol[..., j, j] = dj
-        s = a[..., j + 1:, j]
-        for k in range(j):
-            s = s - chol[..., j + 1:, k] * chol[..., j, k, None]
-        chol[..., j + 1:, j] = s / dj[..., None]
+        singular = singular | bad
+        dj = np.sqrt(np.where(bad, 1.0, d)) if isinstance(bad, np.ndarray) \
+            else 1.0 if bad else math.sqrt(d)
+        row_j[j] = dj
+        for i in range(j + 1, n):
+            row_i = chol[i]
+            s = a[i][j]
+            for k in range(j):
+                s = s - row_i[k] * row_j[k]
+            row_i[j] = s / dj
     return chol, singular
 
 
-def _substitute(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = b for every member of the stack."""
-    n = chol.shape[-1]
-    y = b.copy()
-    for k in range(n):
-        y[..., k] /= chol[..., k, k]
-        y[..., k + 1:] -= chol[..., k + 1:, k] * y[..., k, None]
-    x = np.empty_like(y)
+def _substitute(chol: list, b: list, n: int) -> list:
+    """Solve L L^T x = b, with L given as the rows of its lower triangle."""
+    y = [0.0] * n
+    for i in range(n):
+        s = b[i]
+        row = chol[i]
+        for k in range(i):
+            s = s - row[k] * y[k]
+        y[i] = s / row[i]
+    x = [0.0] * n
     for i in range(n - 1, -1, -1):
-        s = y[..., i]
+        s = y[i]
         for k in range(i + 1, n):
-            s = s - chol[..., k, i] * x[..., k]
-        x[..., i] = s / chol[..., i, i]
+            s = s - chol[k][i] * x[k]
+        x[i] = s / chol[i][i]
     return x
 
 
-def _residual_norm(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residual b - A x of every member and its largest magnitude."""
-    r = b.copy()
-    for k in range(a.shape[-1]):
-        r -= a[..., :, k] * x[..., k, None]
-    return r, np.max(np.abs(r), axis=-1)
+def _residual_norm(a: list, x: list, b: list, n: int) -> tuple[list, object]:
+    """Residual b - A x and its largest magnitude."""
+    r = []
+    for i in range(n):
+        s = b[i]
+        row = a[i]
+        for k in range(n):
+            s = s - row[k] * x[k]
+        r.append(s)
+    return r, _largest([abs(v) for v in r])
 
 
-def solve_stacked(gram, delta: float, rhs) -> tuple[np.ndarray, np.ndarray]:
+def _solve(a: list, b: list, n: int, delta: float, skip) -> tuple[list, object]:
+    """solve_stacked on entry lists: Python floats or arrays over the stack.
+
+    ``a`` is the Gram matrix as n rows of n entries (its diagonal receives
+    delta in place), ``b`` the right-hand side as n entries. Returns the
+    solution entries and the singular flags.
+    """
+    if delta:
+        for i in range(n):
+            a[i][i] = a[i][i] + delta
+    chol, singular = _cholesky(a, n)
+    x = _substitute(chol, b, n)
+    bound = RESIDUAL_RTOL * (1.0 + _largest([abs(v) for v in b]))
+    r, r_norm = _residual_norm(a, x, b, n)
+    held = np.logical_not(singular if skip is None else singular | skip)
+    # a NaN residual (non-finite system) never counts as short of the bound
+    short = (r_norm > bound) & held
+    passes = 0
+    while short.any():
+        if passes == REFINEMENT_PASSES:
+            # unreachable in float64 when ||x|| >> ||rhs|| (extreme delta/Gram
+            # ratios); raising beats silently returning an out-of-contract result
+            ratio = np.where(short, np.divide(r_norm, bound), 0.0)
+            worst = np.unravel_index(np.argmax(ratio), ratio.shape)
+            raise ArithmeticError(
+                "solve_regularized could not reach the guaranteed residual bound "
+                f"{np.asarray(bound)[worst]:.3e} (residual {np.asarray(r_norm)[worst]:.3e})"
+            )
+        x = [_select(short, xi + ci, xi) for xi, ci in zip(x, _substitute(chol, r, n))]
+        r, r_norm = _residual_norm(a, x, b, n)
+        short = (r_norm > bound) & held
+        passes += 1
+    return x, singular
+
+
+def solve_stacked(gram, delta: float, rhs, skip=None) -> tuple[np.ndarray, np.ndarray]:
     """Solve (gram + delta*I) x = rhs for every system of a stack.
 
     ``gram`` has shape (..., n, n) and ``rhs`` (..., n); each member is an
@@ -93,7 +151,9 @@ def solve_stacked(gram, delta: float, rhs) -> tuple[np.ndarray, np.ndarray]:
     Returns (x, singular): ``singular`` flags the members whose factorization
     met a pivot below tolerance, and their rows of ``x`` are NaN. Raises
     ArithmeticError when a nonsingular member cannot reach the residual
-    bound. Non-finite systems pass through unflagged.
+    bound. Non-finite systems pass through unflagged. Members flagged in the
+    boolean mask ``skip`` (shape (...)) are neither refined nor held to the
+    residual bound: their solution is not going to be used.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
@@ -107,27 +167,19 @@ def solve_stacked(gram, delta: float, rhs) -> tuple[np.ndarray, np.ndarray]:
     if b.shape != g.shape[:-1]:
         raise ValueError(f"rhs must have shape {g.shape[:-1]}, got {b.shape}")
 
-    a = g + delta * np.eye(n) if delta else g
-    chol, singular = _cholesky(a)
-    x = _substitute(chol, b)
-    bound = RESIDUAL_RTOL * (1.0 + np.max(np.abs(b), axis=-1))
-    r, r_norm = _residual_norm(a, x, b)
-    for _ in range(REFINEMENT_PASSES):
-        # a NaN residual (non-finite system) never counts as short of the bound
-        short = (r_norm > bound) & ~singular
-        if not short.any():
-            break
-        x = np.where(short[..., None], x + _substitute(chol, r), x)
-        r, r_norm = _residual_norm(a, x, b)
-    unmet = (r_norm > bound) & ~singular
-    if unmet.any():
-        # unreachable in float64 when ||x|| >> ||rhs|| (extreme delta/Gram
-        # ratios); raising beats silently returning an out-of-contract result
-        worst = np.unravel_index(np.argmax(np.where(unmet, r_norm / bound, 0.0)), unmet.shape)
-        raise ArithmeticError(
-            "solve_regularized could not reach the guaranteed residual "
-            f"bound {bound[worst]:.3e} (residual {r_norm[worst]:.3e})"
-        )
+    if g.ndim == 2:
+        # a single system runs on Python floats, which raise where numpy
+        # returns inf or NaN; such a system is solved as a one-member stack
+        try:
+            x, singular = _solve(g.tolist(), b.tolist(), n, delta, skip)
+        except (ZeroDivisionError, ValueError):
+            x, singular = solve_stacked(g[None], delta, b[None],
+                                        None if skip is None else np.reshape(skip, 1))
+            return x[0], singular[0]
+        return np.full(n, np.nan) if singular else np.array(x), np.asarray(singular)
+    a = [list(row) for row in np.moveaxis(g, (-2, -1), (0, 1))]
+    x, singular = _solve(a, list(np.moveaxis(b, -1, 0)), n, delta, skip)
+    x = np.stack(x, axis=-1)
     x[singular] = np.nan
     return x, singular
 

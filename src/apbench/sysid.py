@@ -14,10 +14,10 @@ the inputs, errors of shape (*B, k), with B = (R,) for an ensemble and
 B = () for a single run (also a one-run ensemble). Every member goes through
 the same floating-point operations whatever else is in the batch, so its
 results are bit-identical in an ensemble of any size and in run_single.
-When run_single, lms_step, ap_step or solve_regularized has been replaced at
-its module attribute (for example by a tracing wrapper), run_ensemble runs
-member by member through run_single, which then steps through lms_step and
-ap_step, so that the replacement sees every call the batch would bypass.
+run_single steps LMS through the public lms_step, and an ensemble runs
+member by member through run_single when that function has been replaced
+at this module's attribute (a timing wrapper), so that such a wrapper sees
+every run and every LMS step.
 The ``max_workers`` argument (``--threads`` on the command line) is still
 accepted and validated but no longer changes how a run executes or what it
 outputs.
@@ -31,10 +31,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import algorithms as _algorithms
-from .algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, _ap_errors, ap_step, ap_update,
-                         lms_step, lms_update, step_multiplies)
-from .linalg import SingularMatrixError, singular_error
+from .algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, ap_update, lms_step, lms_update,
+                         step_multiplies)
+# not called here; it stays a module attribute next to lms_step for code that
+# looks it up or wraps it here
+from .algorithms import ap_step  # noqa: F401
+from .linalg import singular_error
 from .metrics import MSE_FLOOR, MseTrace
 from .signals import NoiseKind, NoiseSpec, generate_noise, input_variance
 
@@ -156,15 +158,14 @@ def _member_signals(config: ExperimentConfig, run_index: int) -> tuple[np.ndarra
 
 
 def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray,
-           public_steps: bool):
+           via_lms_step: bool = False):
     """The adaptation loop: every member of a batch, one time step at a time.
 
     ``x`` and ``d`` hold each member's input and desired signal, shape
     (*B, T). Weights start at zero; each iteration pushes one input sample
     and performs one step of the configured algorithm for all members.
-    With ``public_steps`` (B = () only) every step calls lms_step or ap_step
-    at this module's attributes instead of the batched update they wrap, so
-    that a replacement installed there sees each step; the bits are the same.
+    With ``via_lms_step`` (B = () only) an LMS iteration calls the public
+    lms_step, which wraps the same batched update.
 
     Returns the a-priori errors (T, *B), the final weights (*B, L) and, per
     member, the iteration at which its projection step failed as singular
@@ -179,9 +180,9 @@ def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray,
     errors = np.empty((T,) + batch)
     failed_at = np.full(batch, -1)
     if algo.kind is AlgorithmKind.LMS:
-        step = _lms_step(algo, regressors, d, public_steps)
+        step = _lms_step(algo, regressors, d, via_lms_step)
     else:
-        step = _projection_step(algo, delta, regressors, d, failed_at, public_steps)
+        step = _projection_step(algo, delta, regressors, d, failed_at)
     w = np.zeros(batch + (L,))
     # non-finite values are reported as divergence once the loop has ended
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -190,8 +191,7 @@ def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray,
     return errors, w, failed_at
 
 
-def _lms_step(algo: AlgorithmConfig, regressors: np.ndarray, d: np.ndarray,
-              public_steps: bool):
+def _lms_step(algo: AlgorithmConfig, regressors: np.ndarray, d: np.ndarray, via_lms_step: bool):
     """Iteration n of LMS for a batch: (n, w) -> (w_new, a-priori error)."""
     mu = algo.mu
     d_now = np.moveaxis(d, -1, 0)
@@ -200,15 +200,15 @@ def _lms_step(algo: AlgorithmConfig, regressors: np.ndarray, d: np.ndarray,
         w_new, _, e = lms_update(w, regressors[n], d_now[n], mu)
         return w_new, e
 
-    def member_step(n, w):
+    def public_step(n, w):
         w_new, out = lms_step(w, regressors[n], d_now[n], mu)
         return w_new, out.error_e
 
-    return member_step if public_steps else step
+    return public_step if via_lms_step else step
 
 
 def _projection_step(algo: AlgorithmConfig, delta: float, regressors: np.ndarray,
-                     d: np.ndarray, failed_at: np.ndarray, public_steps: bool):
+                     d: np.ndarray, failed_at: np.ndarray):
     """Iteration n of BNDR-LMS or R-AP for a batch: (n, w) -> (w_new, error).
 
     Iterations with fewer than N-1 past samples use the regressors available
@@ -234,44 +234,17 @@ def _projection_step(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
         mu = np.minimum(1.0 / (algo.normalization_order * norm2), AUTO_MU_CAP) if auto \
             else algo.mu
         idle = (norm2 == 0.0) | (failed_at >= 0)
-        w_new, e, stuck = project(w, X, d_vec, mu, idle, n < warmup)
+        w_new, _, e, singular = ap_update(w, X, d_vec, mu, delta, skip=idle)
+        stuck = singular & ~idle
         if stuck.any():
+            if n < warmup:
+                stuck = _shed_rows(w, X, d_vec, mu, delta, stuck, w_new)
             failed_at[stuck] = n
-            idle = idle | stuck
+            idle |= stuck
         if idle.any():
             w_new = np.where(idle[..., None], w, w_new)
-        return w_new, e
+        return w_new, e[..., 0]
 
-    def batch_project(w, X, d_vec, mu, idle, warming_up):
-        """(w_new, newest a-priori error, members still singular) of a batch."""
-        w_new, _, e, singular = ap_update(w, X, d_vec, mu, delta)
-        stuck = singular & ~idle
-        if warming_up and stuck.any():
-            stuck = _shed_rows(w, X, d_vec, mu, delta, stuck, w_new)
-        return w_new, e[..., 0], stuck
-
-    def member_project(w, X, d_vec, mu, idle, warming_up):
-        """batch_project at B = (), through the public ap_step: one call per
-        attempt and none for an idle member; the error is the full matrix's."""
-        if not idle:
-            try:
-                w_new, out = ap_step(w, X, d_vec, mu, delta)
-                return w_new, out.error_e, np.False_
-            except SingularMatrixError:
-                pass
-        e = _ap_errors(w, X, d_vec)[1][0]
-        if idle:
-            return w, e, np.False_
-        # contiguous copies, like the rows _shed_rows selects from a batch
-        X, d_vec = np.ascontiguousarray(X), np.ascontiguousarray(d_vec)
-        for k in range(X.shape[0] - 1, 0, -1) if warming_up else ():
-            try:
-                return ap_step(w, X[:k], d_vec[:k], mu, delta)[0], e, np.False_
-            except SingularMatrixError:
-                pass
-        return w, e, np.True_
-
-    project = member_project if public_steps else batch_project
     return step
 
 
@@ -297,9 +270,9 @@ def _shed_rows(w, X, d_vec, mu, delta, stuck, w_new) -> np.ndarray:
     return stuck
 
 
-def _run(config: ExperimentConfig, run_indices: range) -> tuple[RunResult, ...]:
-    """Adapt the given runs together; a single run is adapted unbatched,
-    through the public step functions if one of them has been replaced.
+def _run(config: ExperimentConfig, run_indices: range,
+         via_lms_step: bool = False) -> tuple[RunResult, ...]:
+    """Adapt the given runs together; a single run is adapted unbatched.
 
     Raises AdaptationError for the lowest failing run index, at its first
     failing iteration: a singular projection step after warm-up, or a
@@ -310,8 +283,7 @@ def _run(config: ExperimentConfig, run_indices: range) -> tuple[RunResult, ...]:
     signals = [_member_signals(config, r) for r in run_indices]
     x, d = signals[0] if len(signals) == 1 else (np.stack(s) for s in zip(*signals))
     delta = algo.resolved_delta(input_variance(config.noise))
-    public_steps = len(signals) == 1 and _member_functions_replaced()
-    errors, w, failed_at = _adapt(algo, delta, x, d, public_steps)
+    errors, w, failed_at = _adapt(algo, delta, x, d, via_lms_step)
 
     errors = np.ascontiguousarray(errors.reshape(T, -1).T)
     w = w.reshape(-1, L)
@@ -341,41 +313,31 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunResult:
 
     This is the batched adaptation loop at batch shape (): its results are
     bit-identical to member ``run_index`` of any ensemble that contains it.
+    Its LMS iterations call the public lms_step, looked up at this module's
+    attribute, so a wrapper installed there (a tracer) sees every step.
     """
-    return _run(config, range(run_index, run_index + 1))[0]
+    return _run(config, range(run_index, run_index + 1), via_lms_step=True)[0]
+
+
+_library_run_single = run_single
 
 
 def run_ensemble(config: ExperimentConfig, max_workers: int = 1) -> EnsembleResult:
     """Average squared error over ensemble_runs independent runs.
 
-    All runs are adapted together in one loop over time. The batch bypasses
-    the per-member functions run_single, lms_step, ap_step and
-    solve_regularized, so when one of them has been replaced at its module
-    attribute (a tracing or fault-injecting wrapper) every run goes through
-    run_single instead, stepping through those functions, and the
-    replacement sees each call. Both ways give bit-identical results.
-    ``max_workers`` must be >= 1; it is kept for compatibility and changes
-    neither how the ensemble runs nor its result.
+    All runs are adapted together in one loop over time. If run_single has
+    been replaced at this module's attribute (a tracing wrapper), the runs
+    go through it one by one instead, with bit-identical results, so that
+    the wrapper sees every run. ``max_workers`` must be >= 1; it is kept for
+    compatibility and changes neither how the ensemble runs nor its result.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     indices = range(config.ensemble_runs)
-    if _member_functions_replaced():
+    if run_single is not _library_run_single:
         runs = tuple(run_single(config, r) for r in indices)
     else:
         runs = _run(config, indices)
     mean_e2 = np.mean(np.stack([r.mse_trace for r in runs]), axis=0)
     values_db = 10.0 * np.log10(np.maximum(mean_e2, MSE_FLOOR))
     return EnsembleResult(trace=MseTrace(values_db, smoothing_window=1), runs=runs)
-
-
-def _member_functions() -> tuple:
-    """The per-member functions as currently bound at their module attributes."""
-    return run_single, lms_step, ap_step, _algorithms.solve_regularized
-
-
-_LIBRARY_MEMBER_FUNCTIONS = _member_functions()
-
-
-def _member_functions_replaced() -> bool:
-    return any(f is not g for f, g in zip(_member_functions(), _LIBRARY_MEMBER_FUNCTIONS))

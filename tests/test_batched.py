@@ -2,21 +2,16 @@
 
 Every member of an ensemble must come out exactly as if it had been run on
 its own: the loop over time runs all members at once, and run_single is the
-same loop at batch shape (). With a per-member function replaced at its
-module attribute, the ensemble runs member by member through it, with the
-same result.
+same loop at batch shape ().
 """
 
 import warnings
-from collections import Counter
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from apbench import algorithms, sysid
 from apbench.algorithms import AlgorithmConfig, AlgorithmKind, MuMode
 from apbench.signals import NoiseKind, NoiseSpec, input_variance
 from apbench.sysid import AdaptationError, ExperimentConfig, PlantModel, run_ensemble, run_single
@@ -110,55 +105,3 @@ def test_members_do_not_depend_on_ensemble_size(config, extra):
         assert np.array_equal(a.mse_trace, b.mse_trace)
         assert np.array_equal(a.final_weights, b.final_weights)
 
-
-
-@contextmanager
-def _counting_wrappers():
-    """Replace the per-member functions, as a tracer would, and count calls."""
-    calls = Counter()
-    targets = [(sysid, "run_single"), (sysid, "lms_step"), (sysid, "ap_step"),
-               (algorithms, "solve_regularized")]
-    originals = [getattr(module, name) for module, name in targets]
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for (module, name), fn in zip(targets, originals):
-        setattr(module, name, counting(name, fn))
-    try:
-        yield calls
-    finally:
-        for (module, name), fn in zip(targets, originals):
-            setattr(module, name, fn)
-
-
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(config=configs())
-def test_replaced_member_functions_see_every_call_with_the_same_result(config):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        batched = _outcome(run_ensemble, config)
-        with _counting_wrappers() as calls:
-            wrapped = _outcome(run_ensemble, config)
-    assert calls["ap_step"] == calls["solve_regularized"]
-    if isinstance(batched, AdaptationError):
-        assert isinstance(wrapped, AdaptationError)
-        assert (wrapped.run_index, wrapped.iteration, str(wrapped)) == (
-            batched.run_index, batched.iteration, str(batched))
-        assert calls["run_single"] == batched.run_index + 1
-        return
-    assert not isinstance(wrapped, AdaptationError), wrapped
-    R, T = config.ensemble_runs, config.iterations
-    assert calls["run_single"] == R
-    is_lms = config.algorithm.kind is AlgorithmKind.LMS
-    assert calls["lms_step"] == (R * T if is_lms else 0)
-    if is_lms:
-        assert calls["ap_step"] == 0
-    for a, b in zip(batched.runs, wrapped.runs):
-        assert np.array_equal(a.mse_trace, b.mse_trace)
-        assert np.array_equal(a.final_weights, b.final_weights)
-        assert a.total_multiplies == b.total_multiplies
-    assert sysid.run_single is run_single  # the wrappers are gone again

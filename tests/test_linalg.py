@@ -115,3 +115,28 @@ def test_pivot_tolerance_is_relative_to_each_members_own_diagonal():
     x, singular = solve_stacked(gram, 0.0, np.array([[2e-30], [1e30]]))
     assert not singular.any()
     np.testing.assert_allclose(x[:, 0], [2.0, 1.0])
+
+
+def test_skipped_members_are_not_held_to_the_residual_bound():
+    # nonsingular, but too ill-conditioned to reach the bound in float64
+    bad = np.array([[0.03435064017636203, 0.08336686983895734, -0.15913739553992812],
+                    [0.08336686983895734, 0.20703641384536325, -0.3964818013753262],
+                    [-0.15913739553992812, -0.3964818013753262, 0.7596129461284367]])
+    good = np.diag([1.0, 2.0, 4.0])
+    gram = np.stack([good, bad])
+    rhs = np.array([[1.0, 1.0, 1.0], [0.3515100700930197, 0.9034701816518086, 0.09401229776087457]])
+    with pytest.raises(ArithmeticError, match="residual"):
+        solve_stacked(gram, 0.0, rhs)
+    x, singular = solve_stacked(gram, 0.0, rhs, skip=np.array([False, True]))
+    assert not singular.any()
+    assert np.array_equal(x[0], solve_regularized(good, 0.0, rhs[0]))
+
+
+def test_single_system_matches_a_one_member_stack_where_python_floats_would_raise():
+    # the zero pivot is not flagged against a NaN tolerance; 0/0 must give NaN
+    gram = np.array([[0.0, 0.0], [0.0, np.nan]])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x, singular = solve_stacked(gram, 0.0, np.ones(2))
+        x1, singular1 = solve_stacked(gram[None], 0.0, np.ones((1, 2)))
+    assert x.shape == (2,) and singular.shape == ()
+    assert np.array_equal(x, x1[0], equal_nan=True) and singular == singular1[0]

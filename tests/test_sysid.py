@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from apbench import sysid
 from apbench.algorithms import AlgorithmConfig, AlgorithmKind, MuMode, step_multiplies
 from apbench.metrics import misalignment_db
 from apbench.signals import NoiseKind, NoiseSpec, design_highpass_fir, generate_noise
@@ -268,6 +269,29 @@ class TestRunEnsemble:
         with pytest.raises(AdaptationError, match="diverged") as err:
             run_ensemble(config)
         assert (err.value.run_index, err.value.iteration) == (0, firsts[0])
+
+    @pytest.mark.parametrize("kind", [AlgorithmKind.LMS, AlgorithmKind.R_AP])
+    def test_replaced_run_single_sees_every_run_with_the_same_result(self, kind, monkeypatch):
+        algo = AlgorithmConfig(kind, filter_length=4, mu=0.05) if kind is AlgorithmKind.LMS \
+            else AlgorithmConfig(kind, filter_length=4, projection_order=3)
+        config = _config(algo, [1.0, 0.3], iterations=60, runs=3)
+        batched = run_ensemble(config)
+        calls = {"run_single": 0, "lms_step": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sysid, name, counting(name, getattr(sysid, name)))
+        wrapped = run_ensemble(config)
+        lms_steps = 3 * 60 if kind is AlgorithmKind.LMS else 0
+        assert calls == {"run_single": 3, "lms_step": lms_steps}
+        assert np.array_equal(wrapped.trace.values_db, batched.trace.values_db)
+        for a, b in zip(wrapped.runs, batched.runs):
+            assert np.array_equal(a.final_weights, b.final_weights)
 
     def test_max_workers_below_one_rejected(self):
         algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=4, mu=0.05)
