@@ -83,22 +83,23 @@ def test_input_validation():
         solve_regularized(np.eye(2), 0.0, [1.0, 1.0, 1.0])
 
 
-def test_stacked_members_match_single_solves_and_are_flagged_per_member():
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+def test_stacked_members_match_single_solves_and_are_flagged_per_member(delta):
     rng = np.random.default_rng(11)
     for n in (1, 2, 4):
         a = rng.standard_normal((20, n, n + 1))
         gram = a @ np.swapaxes(a, -1, -2)
         gram[7] = np.ones((n, n))  # singular without regularization
         rhs = rng.standard_normal((20, n))
-        x, singular = solve_stacked(gram, 0.0, rhs)
-        assert singular.tolist() == [n > 1 and r == 7 for r in range(20)]
+        x, singular = solve_stacked(gram, delta, rhs)
+        assert singular.tolist() == [delta == 0.0 and n > 1 and r == 7 for r in range(20)]
         for r in range(20):
             if singular[r]:
                 assert np.all(np.isnan(x[r]))
                 with pytest.raises(SingularMatrixError):
-                    solve_regularized(gram[r], 0.0, rhs[r])
+                    solve_regularized(gram[r], delta, rhs[r])
             else:
-                assert np.array_equal(x[r], solve_regularized(gram[r], 0.0, rhs[r]))
+                assert np.array_equal(x[r], solve_regularized(gram[r], delta, rhs[r]))
 
 
 def test_stacked_solve_regularized_raises_for_a_singular_member():
