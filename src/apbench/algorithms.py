@@ -219,15 +219,17 @@ def ap_update(w: np.ndarray, X: np.ndarray, d_vec: np.ndarray, mu, delta: float,
     Weights have shape (*B, L), data matrices (*B, k, L) newest row first and
     desired samples (*B, k); ``mu`` is a scalar or has shape B. Solves
     (X X^T + delta*I) eps = d_vec - X w per member and returns (w_new, y, e,
-    singular): the updated weights, the a-priori outputs and errors (*B, k)
-    and the members whose Gram matrix is numerically singular (their rows of
-    w_new are NaN). The members flagged in ``skip`` (shape B) discard their
-    update, so their solve is not held to the residual bound.
+    singular, inexact): the updated weights, the a-priori outputs and errors
+    (*B, k), the members whose Gram matrix is numerically singular and the
+    members whose solve missed the residual bound (solve_stacked's flags;
+    the rows of w_new of flagged members are NaN). The members flagged in
+    ``skip`` (shape B) discard their update, so their solve is not held to
+    the residual bound.
     """
     y, e = _ap_errors(w, X, d_vec)
     Xt = np.swapaxes(X, -1, -2)
-    eps, singular = solve_stacked(X @ Xt, delta, e, skip)
-    return _ap_correct(w, Xt, eps, mu), y, e, singular
+    eps, singular, inexact = solve_stacked(X @ Xt, delta, e, skip)
+    return _ap_correct(w, Xt, eps, mu), y, e, singular, inexact
 
 
 def _ap_errors(w, X, d_vec):

@@ -10,8 +10,11 @@ validated against the library invariants before any run starts. All variants
 in one file consume identical noise realizations (the per-run seeds derive
 only from base_seed), so their learning curves are directly comparable.
 Outputs are deterministic: rerunning a config reproduces byte-identical CSV
-files. All runs of an ensemble are adapted together in one loop over time;
---threads is still accepted and validated but changes nothing.
+files. Every float is written as "%.17g" (the same text as
+format(float(v), ".17g")), and each file is formatted and written in chunks
+of CHUNK_ROWS rows. All runs of an ensemble are adapted together in one
+loop over time; --threads is still accepted and validated but changes
+nothing.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 """
@@ -19,7 +22,6 @@ Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -101,10 +103,6 @@ class VariantResult:
     @property
     def final_smoothed_db(self) -> float:
         return float(self.smoothed_db[-1])
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _pop_known(obj: dict, context: str, known: dict):
@@ -301,48 +299,73 @@ def run_experiment_file(spec: ExperimentFile, threads: int = 1) -> list[VariantR
     return results
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+# rows formatted and written at a time: only one chunk of each column is
+# ever converted to Python objects, so writing adds little to peak memory
+CHUNK_ROWS = 4096
+
+
+def _write_columns(path: Path, header: list[str], row_format: str, columns) -> None:
+    """Write equally long columns as a CSV file, one ``row_format % row`` per line.
+
+    Columns are numpy arrays or Python sequences (ranges, lists). Floats go
+    through ``%.17g``, which is exactly ``format(float(v), ".17g")``, nan,
+    inf and -0 included. Numbers never need CSV quoting; text columns are
+    passed through _csv_text first.
+    """
+    line = row_format + "\n"
+    rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        f.write(",".join(header) + "\n")
+        for start in range(0, rows, CHUNK_ROWS):
+            chunk = [c[start:start + CHUNK_ROWS] for c in columns]
+            cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in chunk)
+            f.write("".join(map(line.__mod__, zip(*cells))))
+
+
+def _csv_text(text: str) -> str:
+    """``text`` as a CSV field, quoted exactly where csv.writer would quote it."""
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _zero_padded(values: np.ndarray, length: int) -> np.ndarray:
+    padded = np.zeros(length)
+    padded[: values.shape[0]] = values
+    return padded
 
 
 def write_artifacts(spec: ExperimentFile, results: list[VariantResult], out_dir: Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    h = spec.plant.h
+    plant_fr = frequency_response(h, spec.freq_points)
     for res in results:
         trace = res.ensemble.trace.values_db
-        _write_csv(out / f"{res.name}_mse.csv",
-                   ["iteration", "mse_db", "smoothed_mse_db"],
-                   ([n, _fmt(trace[n]), _fmt(res.smoothed_db[n])] for n in range(len(trace))))
+        _write_columns(out / f"{res.name}_mse.csv",
+                       ["iteration", "mse_db", "smoothed_mse_db"], "%d,%.17g,%.17g",
+                       [range(len(trace)), trace, res.smoothed_db])
 
         w_mean = res.ensemble.final_weights_mean
-        h = spec.plant.h
         taps = max(w_mean.shape[0], h.shape[0])
-        _write_csv(out / f"{res.name}_weights.csv",
-                   ["tap_index", "adaptive_weight", "plant_weight"],
-                   ([k,
-                     _fmt(w_mean[k]) if k < w_mean.shape[0] else _fmt(0.0),
-                     _fmt(h[k]) if k < h.shape[0] else _fmt(0.0)]
-                    for k in range(taps)))
+        _write_columns(out / f"{res.name}_weights.csv",
+                       ["tap_index", "adaptive_weight", "plant_weight"], "%d,%.17g,%.17g",
+                       [range(taps), _zero_padded(w_mean, taps), _zero_padded(h, taps)])
 
         adaptive_fr = frequency_response(w_mean, spec.freq_points)
-        plant_fr = frequency_response(h, spec.freq_points)
-        _write_csv(out / f"{res.name}_freqresp.csv",
-                   ["omega_over_pi", "magnitude_db", "plant_magnitude_db"],
-                   ([_fmt(adaptive_fr.omegas[k] / np.pi),
-                     _fmt(adaptive_fr.magnitude_db[k]),
-                     _fmt(plant_fr.magnitude_db[k])]
-                    for k in range(spec.freq_points)))
+        _write_columns(out / f"{res.name}_freqresp.csv",
+                       ["omega_over_pi", "magnitude_db", "plant_magnitude_db"],
+                       "%.17g,%.17g,%.17g",
+                       [adaptive_fr.omegas / np.pi, adaptive_fr.magnitude_db,
+                        plant_fr.magnitude_db])
 
-    _write_csv(out / "summary.csv",
-               ["algorithm", "final_smoothed_mse_db", "t_m", "misalignment_db",
-                "total_multiplies_literal", "total_multiplies_corrected"],
-               ([res.name, _fmt(res.final_smoothed_db), res.tm.t_m,
-                 _fmt(res.misalignment_db), res.total_multiplies_literal,
-                 res.total_multiplies_corrected]
-                for res in results))
+    summary = [(_csv_text(res.name), res.final_smoothed_db, res.tm.t_m, res.misalignment_db,
+                res.total_multiplies_literal, res.total_multiplies_corrected)
+               for res in results]
+    _write_columns(out / "summary.csv",
+                   ["algorithm", "final_smoothed_mse_db", "t_m", "misalignment_db",
+                    "total_multiplies_literal", "total_multiplies_corrected"],
+                   "%s,%.17g,%d,%.17g,%d,%d", list(zip(*summary)))
 
 
 def cmd_run(config: str, out: str | None, threads: int) -> int:
@@ -364,7 +387,7 @@ def cmd_design(num_taps: int, cutoff_fn: float) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     for c in coeffs:
-        print(_fmt(c))
+        print("%.17g" % c)
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "solve_regularized",
     "solve_stacked",
     "singular_error",
+    "residual_error",
     "PIVOT_RTOL",
     "RESIDUAL_RTOL",
 ]
@@ -108,12 +109,13 @@ def _residual_norm(a: list, x: list, b: list, n: int) -> tuple[list, object]:
     return r, _largest([abs(v) for v in r])
 
 
-def _solve(a: list, b: list, n: int, delta: float, skip) -> tuple[list, object]:
+def _solve(a: list, b: list, n: int, delta: float, skip) -> tuple[list, object, object]:
     """solve_stacked on entry lists: Python floats or arrays over the stack.
 
     ``a`` is the Gram matrix as n rows of n entries (its diagonal receives
     delta in place), ``b`` the right-hand side as n entries. Returns the
-    solution entries and the singular flags.
+    solution entries, the singular flags and the flags of the members still
+    short of the residual bound after the refinement passes.
     """
     if delta:
         for i in range(n):
@@ -125,35 +127,29 @@ def _solve(a: list, b: list, n: int, delta: float, skip) -> tuple[list, object]:
     held = np.logical_not(singular if skip is None else singular | skip)
     # a NaN residual (non-finite system) never counts as short of the bound
     short = (r_norm > bound) & held
-    passes = 0
-    while short.any():
-        if passes == REFINEMENT_PASSES:
-            # unreachable in float64 when ||x|| >> ||rhs|| (extreme delta/Gram
-            # ratios); raising beats silently returning an out-of-contract result
-            ratio = np.where(short, np.divide(r_norm, bound), 0.0)
-            worst = np.unravel_index(np.argmax(ratio), ratio.shape)
-            raise ArithmeticError(
-                "solve_regularized could not reach the guaranteed residual bound "
-                f"{np.asarray(bound)[worst]:.3e} (residual {np.asarray(r_norm)[worst]:.3e})"
-            )
+    for _ in range(REFINEMENT_PASSES):
+        if not short.any():
+            break
         x = [_select(short, xi + ci, xi) for xi, ci in zip(x, _substitute(chol, r, n))]
         r, r_norm = _residual_norm(a, x, b, n)
         short = (r_norm > bound) & held
-        passes += 1
-    return x, singular
+    return x, singular, short
 
 
-def solve_stacked(gram, delta: float, rhs, skip=None) -> tuple[np.ndarray, np.ndarray]:
+def solve_stacked(gram, delta: float, rhs, skip=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve (gram + delta*I) x = rhs for every system of a stack.
 
     ``gram`` has shape (..., n, n) and ``rhs`` (..., n); each member is an
     independent symmetric PSD system with solve_regularized's contract.
-    Returns (x, singular): ``singular`` flags the members whose factorization
-    met a pivot below tolerance, and their rows of ``x`` are NaN. Raises
-    ArithmeticError when a nonsingular member cannot reach the residual
-    bound. Non-finite systems pass through unflagged. Members flagged in the
-    boolean mask ``skip`` (shape (...)) are neither refined nor held to the
-    residual bound: their solution is not going to be used.
+    Returns (x, singular, inexact), each flag of shape (...): ``singular``
+    flags the members whose factorization met a pivot below tolerance,
+    ``inexact`` the nonsingular members still short of the residual bound
+    after the refinement passes (unreachable in float64 when ||x|| >> ||rhs||,
+    at extreme delta/Gram ratios). The rows of ``x`` of flagged members are
+    NaN; no member makes the whole stack fail. Non-finite systems pass
+    through unflagged. Members flagged in the boolean mask ``skip`` (shape
+    (...)) are neither refined nor held to the residual bound: their
+    solution is not going to be used.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
@@ -171,17 +167,18 @@ def solve_stacked(gram, delta: float, rhs, skip=None) -> tuple[np.ndarray, np.nd
         # a single system runs on Python floats, which raise where numpy
         # returns inf or NaN; such a system is solved as a one-member stack
         try:
-            x, singular = _solve(g.tolist(), b.tolist(), n, delta, skip)
+            x, singular, inexact = _solve(g.tolist(), b.tolist(), n, delta, skip)
         except (ZeroDivisionError, ValueError):
-            x, singular = solve_stacked(g[None], delta, b[None],
-                                        None if skip is None else np.reshape(skip, 1))
-            return x[0], singular[0]
-        return np.full(n, np.nan) if singular else np.array(x), np.asarray(singular)
+            x, singular, inexact = solve_stacked(g[None], delta, b[None],
+                                                 None if skip is None else np.reshape(skip, 1))
+            return x[0], singular[0], inexact[0]
+        x = np.full(n, np.nan) if singular or inexact else np.array(x)
+        return x, np.asarray(singular), np.asarray(inexact)
     a = [list(row) for row in np.moveaxis(g, (-2, -1), (0, 1))]
-    x, singular = _solve(a, list(np.moveaxis(b, -1, 0)), n, delta, skip)
+    x, singular, inexact = _solve(a, list(np.moveaxis(b, -1, 0)), n, delta, skip)
     x = np.stack(x, axis=-1)
-    x[singular] = np.nan
-    return x, singular
+    x[singular | inexact] = np.nan
+    return x, singular, inexact
 
 
 def solve_regularized(gram, delta: float, rhs) -> np.ndarray:
@@ -192,24 +189,40 @@ def solve_regularized(gram, delta: float, rhs) -> np.ndarray:
     singular-Gram case the regularization constant exists to prevent). The
     returned solution satisfies max|A x - rhs| <= RESIDUAL_RTOL * (1 +
     max|rhs|); iterative refinement runs (at most three passes) whenever a
-    substitution falls short of that bound.
+    substitution falls short of that bound, and ArithmeticError is raised
+    when the bound is still not met.
 
     Stacked systems of shape (..., n, n) with right-hand sides (..., n) are
-    solved member by member under the same contract; a singular member
+    solved member by member under the same contract; a failing member
     raises for the whole stack (see solve_stacked for per-member flags).
     """
-    x, singular = solve_stacked(gram, delta, rhs)
+    x, singular, inexact = solve_stacked(gram, delta, rhs)
     if singular.any():
         raise singular_error(singular)
+    if inexact.any():
+        raise residual_error(inexact)
     return x
+
+
+def _members(flags: np.ndarray | None) -> str:
+    """The flagged members of a stack, for an error message; empty for one system."""
+    if flags is None or not flags.ndim:
+        return ""
+    return f" (stack member(s) {np.argwhere(flags).tolist()})"
+
+
+def residual_error(inexact: np.ndarray | None = None) -> ArithmeticError:
+    """The error reported for a system short of the residual bound."""
+    return ArithmeticError(
+        f"solve_regularized could not reach the guaranteed residual bound "
+        f"{RESIDUAL_RTOL:.0e} x (1 + max|rhs|) in {REFINEMENT_PASSES} refinement "
+        f"passes{_members(inexact)}"
+    )
 
 
 def singular_error(singular: np.ndarray | None = None) -> SingularMatrixError:
     """The error reported for a singular system, naming the flagged stack members."""
-    where = ""
-    if singular is not None and singular.ndim:
-        where = f" (stack member(s) {np.argwhere(singular).tolist()})"
     return SingularMatrixError(
-        f"pivot below tolerance {PIVOT_RTOL:.0e} x max diagonal{where}; the Gram "
+        f"pivot below tolerance {PIVOT_RTOL:.0e} x max diagonal{_members(singular)}; the Gram "
         "matrix is numerically singular (consider a regularization constant > 0)"
     )

@@ -14,6 +14,10 @@ the inputs, errors of shape (*B, k), with B = (R,) for an ensemble and
 B = () for a single run (also a one-run ensemble). Every member goes through
 the same floating-point operations whatever else is in the batch, so its
 results are bit-identical in an ensemble of any size and in run_single.
+The LMS loop updates its weights in place through preallocated buffers,
+with lms_update's operations. A member that fails (a singular projection
+step after warm-up, a solve short of the residual bound, or divergence) is
+frozen while the others finish, and the lowest failing run is reported.
 run_single steps LMS through the public lms_step, and an ensemble runs
 member by member through run_single when that function has been replaced
 at this module's attribute (a timing wrapper), so that such a wrapper sees
@@ -31,12 +35,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, ap_update, lms_step, lms_update,
+from .algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, ap_update, lms_step,
                          step_multiplies)
 # not called here; it stays a module attribute next to lms_step for code that
 # looks it up or wraps it here
 from .algorithms import ap_step  # noqa: F401
-from .linalg import singular_error
+from .linalg import residual_error, singular_error
 from .metrics import MSE_FLOOR, MseTrace
 from .signals import NoiseKind, NoiseSpec, generate_noise, input_variance
 
@@ -165,11 +169,12 @@ def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray,
     (*B, T). Weights start at zero; each iteration pushes one input sample
     and performs one step of the configured algorithm for all members.
     With ``via_lms_step`` (B = () only) an LMS iteration calls the public
-    lms_step, which wraps the same batched update.
+    lms_step, which performs the same operations.
 
     Returns the a-priori errors (T, *B), the final weights (*B, L) and, per
-    member, the iteration at which its projection step failed as singular
-    (-1 if never); a failed member keeps its weights from then on.
+    member, the iteration at which its projection step failed (-1 if never)
+    and whether that failure was a solve short of the residual bound rather
+    than a singular Gram; a failed member keeps its weights from then on.
     """
     L, N = algo.filter_length, algo.projection_order
     batch, T = x.shape[:-1], x.shape[-1]
@@ -179,44 +184,61 @@ def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray,
     regressors = np.moveaxis(sliding_window_view(xp, L, axis=-1)[..., ::-1], -2, 0)
     errors = np.empty((T,) + batch)
     failed_at = np.full(batch, -1)
-    if algo.kind is AlgorithmKind.LMS:
-        step = _lms_step(algo, regressors, d, via_lms_step)
-    else:
-        step = _projection_step(algo, delta, regressors, d, failed_at)
+    inexact = np.zeros(batch, dtype=bool)
     w = np.zeros(batch + (L,))
     # non-finite values are reported as divergence once the loop has ended
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for n in range(T):
-            w, errors[n] = step(n, w)
-    return errors, w, failed_at
+        if algo.kind is AlgorithmKind.LMS:
+            w = _lms_loop(algo.mu, regressors, d, w, errors, via_lms_step)
+        else:
+            step = _projection_step(algo, delta, regressors, d, failed_at, inexact)
+            for n in range(T):
+                w, errors[n] = step(n, w)
+    return errors, w, failed_at, inexact
 
 
-def _lms_step(algo: AlgorithmConfig, regressors: np.ndarray, d: np.ndarray, via_lms_step: bool):
-    """Iteration n of LMS for a batch: (n, w) -> (w_new, a-priori error)."""
-    mu = algo.mu
-    d_now = np.moveaxis(d, -1, 0)
+def _lms_loop(mu: float, regressors: np.ndarray, d: np.ndarray, w: np.ndarray,
+              errors: np.ndarray, via_lms_step: bool) -> np.ndarray:
+    """All T iterations of LMS for a batch; returns the final weights.
 
-    def step(n, w):
-        w_new, _, e = lms_update(w, regressors[n], d_now[n], mu)
-        return w_new, e
-
-    def public_step(n, w):
-        w_new, out = lms_step(w, regressors[n], d_now[n], mu)
-        return w_new, out.error_e
-
-    return public_step if via_lms_step else step
+    The weights are updated in place through preallocated buffers and each
+    a-priori error is written straight into ``errors[n]``. The operations
+    are lms_update's, so the results are bit-identical to it. The desired
+    samples are read from the array, not from a list of it: a list costs
+    about 32 bytes per sample, which raises the peak memory of a long run.
+    """
+    if via_lms_step:
+        for n, (x, d_n) in enumerate(zip(regressors, d)):
+            w, out = lms_step(w, x, d_n, mu)
+            errors[n] = out.error_e
+        return w
+    step = np.empty_like(w)
+    if w.ndim == 1:
+        # one member: the error is a scalar, so the scale needs no broadcast
+        for n, (x, d_n) in enumerate(zip(regressors, d)):
+            errors[n] = e = d_n - np.vecdot(x, w)
+            np.add(w, np.multiply(x, mu * e, out=step), out=w)
+        return w
+    y = np.empty(w.shape[:-1])
+    scale = np.empty(w.shape[:-1] + (1,))
+    for x, d_n, e in zip(regressors, np.moveaxis(d, -1, 0), errors):
+        np.subtract(d_n, np.vecdot(x, w, out=y), out=e)
+        np.multiply(e[..., None], mu, out=scale)
+        np.add(w, np.multiply(x, scale, out=step), out=w)
+    return w
 
 
 def _projection_step(algo: AlgorithmConfig, delta: float, regressors: np.ndarray,
-                     d: np.ndarray, failed_at: np.ndarray):
+                     d: np.ndarray, failed_at: np.ndarray, inexact: np.ndarray):
     """Iteration n of BNDR-LMS or R-AP for a batch: (n, w) -> (w_new, error).
 
     Iterations with fewer than N-1 past samples use the regressors available
     so far: the all-zero padding rows carry no constraint and are omitted,
     which equals the zero-padded update in the regularized limit. A member
     whose newest regressor is all zero has nothing to project onto and keeps
-    its weights. A member that is singular after warm-up is recorded in
-    ``failed_at`` and keeps its weights from then on.
+    its weights. A member whose step is singular after warm-up, or whose
+    solve misses the residual bound, is recorded in ``failed_at`` (the
+    latter also in ``inexact``) and keeps its weights from then on.
     """
     N, L = algo.projection_order, algo.filter_length
     # rows[n][..., i, :] is the regressor at time n - i; d_rows likewise
@@ -234,13 +256,17 @@ def _projection_step(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
         mu = np.minimum(1.0 / (algo.normalization_order * norm2), AUTO_MU_CAP) if auto \
             else algo.mu
         idle = (norm2 == 0.0) | (failed_at >= 0)
-        w_new, _, e, singular = ap_update(w, X, d_vec, mu, delta, skip=idle)
-        stuck = singular & ~idle
-        if stuck.any():
-            if n < warmup:
-                stuck = _shed_rows(w, X, d_vec, mu, delta, stuck, w_new)
-            failed_at[stuck] = n
-            idle |= stuck
+        w_new, _, e, singular, short = ap_update(w, X, d_vec, mu, delta, skip=idle)
+        # one test per step in the common case; idle members may be flagged
+        # singular too, their flag is dropped here
+        if (singular | short).any():
+            stuck = singular & ~idle
+            if stuck.any() and n < warmup:
+                stuck = _shed_rows(w, X, d_vec, mu, delta, stuck, short, w_new)
+            failed = stuck | short
+            failed_at[failed] = n
+            inexact[short] = True
+            idle |= failed
         if idle.any():
             w_new = np.where(idle[..., None], w, w_new)
         return w_new, e[..., 0]
@@ -248,22 +274,25 @@ def _projection_step(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
     return step
 
 
-def _shed_rows(w, X, d_vec, mu, delta, stuck, w_new) -> np.ndarray:
+def _shed_rows(w, X, d_vec, mu, delta, stuck, short, w_new) -> np.ndarray:
     """Warm-up fallback for the members whose projection step was singular.
 
     While the regressors are still filling up, an old sparse row can make
     the Gram numerically singular with delta = 0 although it adds (almost)
     nothing. Each stuck member sheds its oldest rows one at a time, as the
-    pseudo-inverse limit would, until its step succeeds; the result is
-    written into ``w_new``. Returns the members still singular with one row.
+    pseudo-inverse limit would, until its step is no longer singular; the
+    result is written into ``w_new``, or the member is flagged in ``short``
+    if that step misses the residual bound. Returns the members still
+    singular with one row.
     """
     mu = np.broadcast_to(mu, stuck.shape)
     for rows in range(X.shape[-2] - 1, 0, -1):
-        w_try, _, _, singular = ap_update(w[stuck], X[stuck][:, :rows],
-                                          d_vec[stuck][:, :rows], mu[stuck], delta)
+        w_try, _, _, singular, missed = ap_update(w[stuck], X[stuck][:, :rows],
+                                                  d_vec[stuck][:, :rows], mu[stuck], delta)
         solved = np.zeros_like(stuck)
         solved[stuck] = ~singular
         w_new[solved] = w_try[~singular]
+        short[stuck] |= missed
         stuck = stuck & ~solved
         if not stuck.any():
             break
@@ -275,31 +304,33 @@ def _run(config: ExperimentConfig, run_indices: range,
     """Adapt the given runs together; a single run is adapted unbatched.
 
     Raises AdaptationError for the lowest failing run index, at its first
-    failing iteration: a singular projection step after warm-up, or a
-    non-finite error or weight ("diverged").
+    failing iteration: a singular projection step after warm-up, a solve
+    short of the residual bound, or a non-finite error or weight
+    ("diverged").
     """
     algo = config.algorithm
     L, T = algo.filter_length, config.iterations
     signals = [_member_signals(config, r) for r in run_indices]
     x, d = signals[0] if len(signals) == 1 else (np.stack(s) for s in zip(*signals))
     delta = algo.resolved_delta(input_variance(config.noise))
-    errors, w, failed_at = _adapt(algo, delta, x, d, via_lms_step)
+    errors, w, failed_at, inexact = _adapt(algo, delta, x, d, via_lms_step)
 
     errors = np.ascontiguousarray(errors.reshape(T, -1).T)
     w = w.reshape(-1, L)
     failed_at = failed_at.reshape(-1)
+    inexact = inexact.reshape(-1)
     finite = np.isfinite(errors)
     # first non-finite error; weights that overflow in the last step count there
     diverged_at = np.where(finite.all(axis=1), T, np.argmin(finite, axis=1))
     diverged_at = np.where(np.isfinite(w).all(axis=1), diverged_at,
                            np.minimum(diverged_at, T - 1))
-    singular_at = np.where(failed_at >= 0, failed_at, T)
-    failing = np.flatnonzero(np.minimum(diverged_at, singular_at) < T)
+    solve_failed_at = np.where(failed_at >= 0, failed_at, T)
+    failing = np.flatnonzero(np.minimum(diverged_at, solve_failed_at) < T)
     if failing.size:
         m = failing[0]
-        if singular_at[m] <= diverged_at[m]:
-            cause = singular_error()
-            raise AdaptationError(run_indices[m], int(singular_at[m]), cause) from cause
+        if solve_failed_at[m] <= diverged_at[m]:
+            cause = residual_error() if inexact[m] else singular_error()
+            raise AdaptationError(run_indices[m], int(solve_failed_at[m]), cause) from cause
         raise AdaptationError(run_indices[m], int(diverged_at[m]), "diverged")
 
     mse = errors * errors

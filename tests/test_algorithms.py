@@ -17,6 +17,7 @@ from apbench.algorithms import (
     bndr_lms_step,
     i_inv,
     lms_step,
+    lms_update,
     max_stable_mu,
     step_multiplies,
     step_multiplies_literal,
@@ -69,6 +70,20 @@ class TestLmsStep:
             dw = w - w0
             residual = dw - (float(dw @ x) / float(x @ x)) * x
             assert np.max(np.abs(residual)) < 1e-12
+
+
+    def test_public_steps_never_modify_the_callers_weights(self):
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal(6)
+        before = w.copy()
+        w_new, _ = lms_step(w, rng.standard_normal(6), 1.0, 0.1)
+        assert np.array_equal(w, before) and not np.shares_memory(w_new, w)
+        w_new, _, _ = lms_update(w, rng.standard_normal(6), 1.0, 0.1)
+        assert np.array_equal(w, before) and not np.shares_memory(w_new, w)
+        batch = rng.standard_normal((3, 6))
+        before = batch.copy()
+        w_new, _, _ = lms_update(batch, rng.standard_normal((3, 6)), rng.standard_normal(3), 0.1)
+        assert np.array_equal(batch, before) and not np.shares_memory(w_new, batch)
 
 
 class TestApStep:

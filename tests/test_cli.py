@@ -1,5 +1,7 @@
 """Tests for the experiment-file CLI: validation, artifacts, determinism."""
 
+import csv
+import dataclasses
 import json
 import os
 import re
@@ -11,14 +13,21 @@ import numpy as np
 import pytest
 
 import apbench.linalg
-from apbench.algorithms import AlgorithmKind, step_multiplies, step_multiplies_literal
+from apbench import cli
+from apbench.algorithms import (AlgorithmConfig, AlgorithmKind, step_multiplies,
+                                step_multiplies_literal)
 from apbench.cli import (
     ConfigError,
+    ExperimentFile,
+    VariantResult,
     load_experiment_file,
     main,
     resolve_config_path,
+    write_artifacts,
 )
-from apbench.signals import design_highpass_fir
+from apbench.metrics import MseTrace, TmReport
+from apbench.signals import NoiseKind, NoiseSpec, design_highpass_fir, frequency_response
+from apbench.sysid import EnsembleResult, PlantModel, RunResult
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(apbench.linalg.__file__)))
 
@@ -213,6 +222,19 @@ class TestRunCommand:
         assert re.fullmatch(r"runtime error: run 0 failed at iteration \d+: diverged\n", err)
         assert "Traceback" not in err
 
+    def test_residual_failure_is_a_runtime_failure_without_traceback(self, tmp_path, capsys):
+        config = _tiny_config(tmp_path / "out", iterations=30, base_seed=0,
+                              plant={"coefficients": [1.0], "measurement_noise_sigma": 0.01})
+        config["algorithms"] = [{"name": "r_ap", "kind": "r_ap", "filter_length": 1,
+                                 "projection_order": 2, "mu_mode": "fixed", "mu": 1.0,
+                                 "delta": 1e-8}]
+        code = main(["run", str(_write_config(tmp_path, config))])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.fullmatch(r"runtime error: run 1 failed at iteration \d+: solve_regularized "
+                            r"could not reach the guaranteed residual bound .*\n", err)
+        assert "Traceback" not in err
+
     def test_bundled_configs_resolve_and_validate(self):
         for name in ("white", "colored"):
             with warnings.catch_warnings():
@@ -225,6 +247,121 @@ class TestRunCommand:
     def test_unknown_bundled_name(self):
         with pytest.raises(ConfigError):
             resolve_config_path("grey")
+
+
+def _reference_artifacts(spec, results, out):
+    """The artifacts as the per-cell csv.writer formatter used to write them."""
+    def fmt(value):
+        return format(float(value), ".17g")
+
+    def write(path, header, rows):
+        with open(path, "w", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    out.mkdir()
+    h = spec.plant.h
+    for res in results:
+        trace = res.ensemble.trace.values_db
+        write(out / f"{res.name}_mse.csv", ["iteration", "mse_db", "smoothed_mse_db"],
+              ([n, fmt(trace[n]), fmt(res.smoothed_db[n])] for n in range(len(trace))))
+        w_mean = res.ensemble.final_weights_mean
+        write(out / f"{res.name}_weights.csv", ["tap_index", "adaptive_weight", "plant_weight"],
+              ([k, fmt(w_mean[k]) if k < w_mean.shape[0] else fmt(0.0),
+                fmt(h[k]) if k < h.shape[0] else fmt(0.0)]
+               for k in range(max(w_mean.shape[0], h.shape[0]))))
+        adaptive_fr = frequency_response(w_mean, spec.freq_points)
+        plant_fr = frequency_response(h, spec.freq_points)
+        write(out / f"{res.name}_freqresp.csv",
+              ["omega_over_pi", "magnitude_db", "plant_magnitude_db"],
+              ([fmt(adaptive_fr.omegas[k] / np.pi), fmt(adaptive_fr.magnitude_db[k]),
+                fmt(plant_fr.magnitude_db[k])] for k in range(spec.freq_points)))
+    write(out / "summary.csv",
+          ["algorithm", "final_smoothed_mse_db", "t_m", "misalignment_db",
+           "total_multiplies_literal", "total_multiplies_corrected"],
+          ([res.name, fmt(res.final_smoothed_db), res.tm.t_m, fmt(res.misalignment_db),
+            res.total_multiplies_literal, res.total_multiplies_corrected] for res in results))
+
+
+# -0, the smallest subnormal, the -300 dB floor and extreme exponents
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, -300.0, 1.7976931348623157e308,
+                  -1e300, 1e-300, 0.1, 1.0 / 3.0, -123456789.12345679, 1e16, 1e17]
+
+
+def _crafted_results(rows):
+    """Two variants whose every column mixes the special values with noise."""
+    rng = np.random.default_rng(29)
+    specials = np.array(SPECIAL_VALUES)
+
+    def column(extra=()):
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+        picks = np.concatenate([specials, extra])
+        values[rng.integers(0, rows, 4 * picks.size)] = np.tile(picks, 4)
+        return values
+
+    spec = ExperimentFile(
+        plant=PlantModel(h=[-0.0, 5e-324, 0.5, -1e-300, 1.0]),
+        noise=NoiseSpec(NoiseKind.WHITE, sigma=1.0),
+        iterations=rows, ensemble_runs=1, base_seed=0,
+        variants=(), freq_points=rows,
+    )
+    results = []
+    for name, weights, t_m, misalignment in [
+        ("r_ap.order-4", [1e308, -0.0, 5e-324, -1e-310, 0.25, 3.0, -7.5], 0, -np.inf),
+        ("lms_2", [-0.0, 1e-300, 0.3, -0.7, 5e-324, 0.1], rows - 1, np.nan),
+    ]:
+        runs = (RunResult(mse_trace=np.zeros(rows), final_weights=np.array(weights),
+                          total_multiplies=2**62),)
+        ensemble = EnsembleResult(trace=MseTrace(column(), smoothing_window=1), runs=runs)
+        results.append(VariantResult(
+            name=name, algorithm=AlgorithmConfig(AlgorithmKind.LMS, filter_length=len(weights),
+                                                 mu=0.1),
+            ensemble=ensemble, smoothed_db=column([np.nan, np.inf, -np.inf]),
+            tm=TmReport(t_m=t_m, window=10, slack_db=0.1, never_monotone=False),
+            misalignment_db=misalignment, total_multiplies_corrected=2**62 + 1,
+            total_multiplies_literal=3,
+        ))
+    return spec, results
+
+
+def test_summary_quotes_variant_names_as_csv_writer_did(tmp_path):
+    # names from experiment files are filesystem-safe; library callers may pass any
+    spec, results = _crafted_results(3)
+    names = ['a,b', 'say "hi"', "line\nbreak"]
+    results = [dataclasses.replace(results[0], name=name) for name in names]
+    write_artifacts(spec, results, tmp_path / "chunked")
+    _reference_artifacts(spec, results, tmp_path / "reference")
+    assert ((tmp_path / "chunked" / "summary.csv").read_bytes()
+            == (tmp_path / "reference" / "summary.csv").read_bytes())
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+def test_artifacts_are_byte_identical_to_the_per_cell_csv_writer(chunk_rows, tmp_path,
+                                                                 monkeypatch):
+    if chunk_rows is not None:
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+    # more rows than two chunks, and not a multiple of the chunk size
+    rows = 2 * cli.CHUNK_ROWS + 17
+    spec, results = _crafted_results(rows)
+    with np.errstate(over="ignore"):
+        write_artifacts(spec, results, tmp_path / "chunked")
+        _reference_artifacts(spec, results, tmp_path / "reference")
+    files = sorted(p.name for p in (tmp_path / "reference").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "chunked").iterdir())
+    assert len(files) == 7
+    for file in files:
+        expected = (tmp_path / "reference" / file).read_bytes()
+        assert (tmp_path / "chunked" / file).read_bytes() == expected, file
+    mse_lines = (tmp_path / "chunked" / "lms_2_mse.csv").read_text().splitlines()
+    assert len(mse_lines) == rows + 1
+    for token in ("-0", "4.9406564584124654e-324", "-300", "1.7976931348623157e+308", "nan",
+                  "inf", "-inf"):
+        assert any(token in line.split(",") for line in mse_lines), token
+    summary = (tmp_path / "chunked" / "summary.csv").read_text().splitlines()
+    final = [format(res.final_smoothed_db, ".17g") for res in results]
+    assert summary[1:] == [f"r_ap.order-4,{final[0]},0,-inf,3,{2**62 + 1}",
+                           f"lms_2,{final[1]},{rows - 1},nan,3,{2**62 + 1}"]
 
 
 class TestSelftestCommand:

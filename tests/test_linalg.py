@@ -91,8 +91,9 @@ def test_stacked_members_match_single_solves_and_are_flagged_per_member(delta):
         gram = a @ np.swapaxes(a, -1, -2)
         gram[7] = np.ones((n, n))  # singular without regularization
         rhs = rng.standard_normal((20, n))
-        x, singular = solve_stacked(gram, delta, rhs)
+        x, singular, inexact = solve_stacked(gram, delta, rhs)
         assert singular.tolist() == [delta == 0.0 and n > 1 and r == 7 for r in range(20)]
+        assert not inexact.any()
         for r in range(20):
             if singular[r]:
                 assert np.all(np.isnan(x[r]))
@@ -113,31 +114,52 @@ def test_stacked_solve_regularized_raises_for_a_singular_member():
 def test_pivot_tolerance_is_relative_to_each_members_own_diagonal():
     # one member 1e30 times larger must not make the tiny one singular
     gram = np.stack([np.array([[1e-30]]), np.array([[1.0]])]) * [[[1.0]], [[1e30]]]
-    x, singular = solve_stacked(gram, 0.0, np.array([[2e-30], [1e30]]))
-    assert not singular.any()
+    x, singular, inexact = solve_stacked(gram, 0.0, np.array([[2e-30], [1e30]]))
+    assert not singular.any() and not inexact.any()
     np.testing.assert_allclose(x[:, 0], [2.0, 1.0])
 
 
+# nonsingular, but too ill-conditioned to reach the residual bound in float64
+ILL_GRAM = np.array([[0.03435064017636203, 0.08336686983895734, -0.15913739553992812],
+                     [0.08336686983895734, 0.20703641384536325, -0.3964818013753262],
+                     [-0.15913739553992812, -0.3964818013753262, 0.7596129461284367]])
+ILL_RHS = np.array([0.3515100700930197, 0.9034701816518086, 0.09401229776087457])
+GOOD_GRAM = np.diag([1.0, 2.0, 4.0])
+
+
 def test_skipped_members_are_not_held_to_the_residual_bound():
-    # nonsingular, but too ill-conditioned to reach the bound in float64
-    bad = np.array([[0.03435064017636203, 0.08336686983895734, -0.15913739553992812],
-                    [0.08336686983895734, 0.20703641384536325, -0.3964818013753262],
-                    [-0.15913739553992812, -0.3964818013753262, 0.7596129461284367]])
-    good = np.diag([1.0, 2.0, 4.0])
-    gram = np.stack([good, bad])
-    rhs = np.array([[1.0, 1.0, 1.0], [0.3515100700930197, 0.9034701816518086, 0.09401229776087457]])
-    with pytest.raises(ArithmeticError, match="residual"):
-        solve_stacked(gram, 0.0, rhs)
-    x, singular = solve_stacked(gram, 0.0, rhs, skip=np.array([False, True]))
+    gram = np.stack([GOOD_GRAM, ILL_GRAM])
+    rhs = np.stack([np.ones(3), ILL_RHS])
+    assert solve_stacked(gram, 0.0, rhs)[2].tolist() == [False, True]
+    x, singular, inexact = solve_stacked(gram, 0.0, rhs, skip=np.array([False, True]))
+    assert not singular.any() and not inexact.any()
+    assert np.array_equal(x[0], solve_regularized(GOOD_GRAM, 0.0, rhs[0]))
+
+
+def test_a_member_short_of_the_residual_bound_is_flagged_and_the_rest_solve():
+    gram = np.stack([GOOD_GRAM, ILL_GRAM, GOOD_GRAM])
+    rhs = np.stack([np.ones(3), ILL_RHS, -np.ones(3)])
+    x, singular, inexact = solve_stacked(gram, 0.0, rhs)
     assert not singular.any()
-    assert np.array_equal(x[0], solve_regularized(good, 0.0, rhs[0]))
+    assert inexact.tolist() == [False, True, False]
+    assert np.all(np.isnan(x[1]))
+    for r in (0, 2):
+        assert np.array_equal(x[r], solve_regularized(GOOD_GRAM, 0.0, rhs[r]))
+    # the same member alone: flagged as a single system, raised by solve_regularized
+    x1, singular1, inexact1 = solve_stacked(ILL_GRAM, 0.0, ILL_RHS)
+    assert inexact1 and not singular1 and np.all(np.isnan(x1))
+    with pytest.raises(ArithmeticError, match="residual bound"):
+        solve_regularized(ILL_GRAM, 0.0, ILL_RHS)
+    with pytest.raises(ArithmeticError, match=r"residual bound .*member\(s\) \[\[1\]\]"):
+        solve_regularized(gram, 0.0, rhs)
 
 
 def test_single_system_matches_a_one_member_stack_where_python_floats_would_raise():
     # the zero pivot is not flagged against a NaN tolerance; 0/0 must give NaN
     gram = np.array([[0.0, 0.0], [0.0, np.nan]])
     with np.errstate(invalid="ignore", divide="ignore"):
-        x, singular = solve_stacked(gram, 0.0, np.ones(2))
-        x1, singular1 = solve_stacked(gram[None], 0.0, np.ones((1, 2)))
-    assert x.shape == (2,) and singular.shape == ()
+        x, singular, inexact = solve_stacked(gram, 0.0, np.ones(2))
+        x1, singular1, inexact1 = solve_stacked(gram[None], 0.0, np.ones((1, 2)))
+    assert x.shape == (2,) and singular.shape == () and inexact.shape == ()
     assert np.array_equal(x, x1[0], equal_nan=True) and singular == singular1[0]
+    assert inexact == inexact1[0]

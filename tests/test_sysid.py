@@ -224,6 +224,15 @@ class TestRunEnsemble:
         expected = 10 * np.log10(np.maximum(single.mse_trace, 1e-30))
         assert np.array_equal(ens.trace.values_db, expected)
 
+    def test_one_run_lms_loop_equals_the_public_step_bit_for_bit(self):
+        # a one-run ensemble adapts in place; run_single steps through lms_step
+        algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=6, mu=0.05)
+        config = _config(algo, [1.0, -0.4, 0.2], iterations=300, runs=1, meas_sigma=0.01)
+        member = run_ensemble(config).runs[0]
+        single = run_single(config, 0)
+        assert np.array_equal(member.mse_trace, single.mse_trace)
+        assert np.array_equal(member.final_weights, single.final_weights)
+
     def test_zero_plant_trace_is_floor(self):
         algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=4, mu=0.05)
         ens = run_ensemble(_config(algo, [0.0], iterations=50, runs=3))
@@ -251,6 +260,28 @@ class TestRunEnsemble:
         with pytest.raises(AdaptationError) as err:
             run_ensemble(config)
         assert err.value.run_index == 0
+
+    def test_residual_failure_reports_lowest_failing_run_while_others_solve(self):
+        # N > L makes every Gram rank-deficient: delta = 1e-8 keeps it above the
+        # pivot tolerance but too ill-conditioned for the residual bound once
+        # measurement noise leaves an error along its null direction
+        algo = AlgorithmConfig(AlgorithmKind.R_AP, filter_length=1, projection_order=2,
+                               mu_mode=MuMode.FIXED, mu=1.0, delta=1e-8)
+        config = _config(algo, [1.0], iterations=30, runs=4, seed=0, meas_sigma=0.01)
+        for r in (0, 3):
+            assert np.all(np.isfinite(run_single(config, r).final_weights))
+        failures = {}
+        for r in (1, 2):
+            with pytest.raises(AdaptationError, match="residual bound") as err:
+                run_single(config, r)
+            failures[r] = err.value
+        # run 2 fails first in time, but the lowest failing run is reported
+        assert failures[2].iteration < failures[1].iteration
+        with pytest.raises(AdaptationError) as err:
+            run_ensemble(config)
+        assert (err.value.run_index, err.value.iteration, str(err.value)) == (
+            1, failures[1].iteration, str(failures[1]))
+        assert isinstance(err.value.__cause__, ArithmeticError)
 
     def test_divergence_reports_lowest_run_and_first_nonfinite_iteration(self):
         # LMS far above its step-size bound under colored excitation
