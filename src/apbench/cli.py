@@ -280,9 +280,9 @@ def run_experiment_file(spec: ExperimentFile, threads: int = 1) -> list[VariantR
     results = []
     for name, algo in spec.variants:
         ensemble = run_ensemble(spec.experiment_config(algo), max_workers=threads)
-        smoothed = smooth(ensemble.trace, min(spec.smoothing_window, spec.iterations))
-        tm = compute_tm(ensemble.trace, window=min(spec.smoothing_window, spec.iterations),
-                        slack_db=spec.tm_slack_db)
+        window = min(spec.smoothing_window, spec.iterations)
+        smoothed = smooth(ensemble.trace, window)
+        tm = compute_tm(smoothed, window=window, slack_db=spec.tm_slack_db)
         mis = misalignment_db(ensemble.final_weights_mean, spec.plant.h)
         results.append(VariantResult(
             name=name,

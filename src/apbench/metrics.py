@@ -56,13 +56,22 @@ def smooth(trace: MseTrace, window: int) -> MseTrace:
         raise ValueError(f"window must lie in [1, {n}], got {window}")
     if window == 1:
         return MseTrace(trace.values_db.copy(), smoothing_window=1)
-    lin = 10.0 ** (trace.values_db / 10.0)
-    kernel = np.ones(window)
+    lin = trace.values_db / 10.0
+    np.power(10.0, lin, out=lin)
     # each window sum is an independent dot product, so tiny late-trace
     # values are not absorbed by large early ones (unlike a cumsum scheme)
-    sums = np.convolve(lin, kernel, mode="same")
-    counts = np.convolve(np.ones(n), kernel, mode="same")
-    out = 10.0 * np.log10(np.maximum(sums / counts, MSE_FLOOR))
+    out = np.convolve(lin, np.ones(window), mode="same")
+    # divide position i by the size of [i - head, i + tail] clipped to the
+    # trace, an exact integer. As window <= n, the first head positions are
+    # clipped at the start only, the last tail ones at the end only, and the
+    # rest hold all window values.
+    head, tail = window // 2, (window - 1) // 2
+    out[:head] /= np.arange(tail + 1, window)
+    out[head:n - tail] /= window
+    out[n - tail:] /= np.arange(window - 1, head, -1)
+    np.maximum(out, MSE_FLOOR, out=out)
+    np.log10(out, out=out)
+    out *= 10.0
     return MseTrace(out, smoothing_window=window)
 
 
@@ -88,11 +97,17 @@ def compute_tm(trace: MseTrace, window: int = 10, slack_db: float = 0.1,
     ``onset_drop_db`` below its running maximum never becomes monotone:
     t_m = len(trace) - 1 with the never_monotone flag set.
 
+    A trace whose ``smoothing_window`` equals ``window`` is taken as already
+    smoothed and used as it is, so compute_tm(smooth(raw, W), W) equals
+    compute_tm(raw, W) without a second smoothing pass.
+
     The result is invariant to adding a constant (in dB) to the whole trace.
     """
     if slack_db < 0:
         raise ValueError(f"slack_db must be >= 0, got {slack_db}")
-    s = smooth(trace, window).values_db
+    if trace.smoothing_window != window:
+        trace = smooth(trace, window)
+    s = trace.values_db
     n = s.shape[0]
 
     confirm = -1

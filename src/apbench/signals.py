@@ -27,6 +27,10 @@ __all__ = [
 # magnitudes below this are clamped before taking logs
 MAG_FLOOR = 1e-15
 
+# frequencies evaluated per block in frequency_response: its phase matrix is
+# at most this many rows x taps (1 MB of complex128 at 64 taps)
+FREQ_BLOCK_ROWS = 1024
+
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -198,6 +202,10 @@ class FrequencyResponse:
 def frequency_response(w, k_points: int) -> FrequencyResponse:
     """Evaluate 20*log10|H(e^{j omega})| at k_points frequencies on [0, pi].
 
+    The grid is evaluated in blocks of at most FREQ_BLOCK_ROWS frequencies,
+    so the complex phase matrix never exceeds FREQ_BLOCK_ROWS x taps and
+    memory does not grow with k_points. Each block does the same arithmetic
+    as one k_points x taps evaluation, so the result is the same bit for bit.
     Magnitudes are clamped at MAG_FLOOR before the log so the response of a
     perfect null is finite (-300 dB).
     """
@@ -205,7 +213,14 @@ def frequency_response(w, k_points: int) -> FrequencyResponse:
         raise ValueError(f"k_points must be >= 2, got {k_points}")
     coeffs = np.asarray(w, dtype=float)
     omegas = np.linspace(0.0, np.pi, k_points)
-    phases = np.exp(-1j * np.outer(omegas, np.arange(coeffs.shape[0])))
-    mags = np.abs(phases @ coeffs)
+    taps = np.arange(coeffs.shape[0])
+    mags = np.empty(k_points)
+    # equal blocks of at most FREQ_BLOCK_ROWS rows, never a single row: numpy
+    # evaluates a one-row product as a vector dot product, which sums in a
+    # different order than the matrix-vector product and changes the last bit
+    blocks = -(-k_points // FREQ_BLOCK_ROWS)
+    for i in range(blocks):
+        rows = slice(i * k_points // blocks, (i + 1) * k_points // blocks)
+        mags[rows] = np.abs(np.exp(-1j * np.outer(omegas[rows], taps)) @ coeffs)
     mag_db = 20.0 * np.log10(np.maximum(mags, MAG_FLOOR))
     return FrequencyResponse(omegas=omegas, magnitude_db=mag_db)

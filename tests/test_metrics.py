@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apbench.metrics import MseTrace, compute_tm, misalignment_db, smooth
+from apbench.cli import load_experiment_file, resolve_config_path, run_experiment_file
+from apbench.metrics import MSE_FLOOR, MseTrace, compute_tm, misalignment_db, smooth
 
 
 def _smooth_oracle(values_db, window):
@@ -19,6 +20,30 @@ def _smooth_oracle(values_db, window):
         chunk = lin[lo : hi + 1]
         out.append(10.0 * np.log10(max(sum(chunk) / len(chunk), 1e-30)))
     return np.array(out)
+
+
+def _smooth_convolved(values_db, window):
+    """The earlier implementation: window sizes from convolving all-ones."""
+    lin = 10.0 ** (values_db / 10.0)
+    kernel = np.ones(window)
+    sums = np.convolve(lin, kernel, mode="same")
+    counts = np.convolve(np.ones(len(values_db)), kernel, mode="same")
+    return 10.0 * np.log10(np.maximum(sums / counts, MSE_FLOOR))
+
+
+def _synthetic_traces():
+    rng = np.random.default_rng(7)
+    yield -1.0 * np.arange(100.0)
+    yield np.concatenate([rng.uniform(-0.05, 0.05, 30), -1.0 * np.arange(1, 71)])
+    yield np.zeros(80)
+    yield 0.5 * np.arange(60.0)
+    yield rng.uniform(-50, 0, 50)
+
+
+@pytest.fixture(scope="module")
+def white_results():
+    spec = load_experiment_file(resolve_config_path("white"))
+    return spec, run_experiment_file(spec)
 
 
 class TestSmooth:
@@ -55,6 +80,15 @@ class TestSmooth:
         for w in (3, 10, 21):
             sm = smooth(MseTrace(valley), w).values_db
             assert abs(int(np.argmin(sm)) - 120) <= w
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 301])
+    def test_bit_identical_to_the_convolved_window_sizes(self, n):
+        values = -300.0 * np.random.default_rng(n).random(n)
+        # window 1, n, and odd and even windows in between
+        for w in sorted({2, 3, 4, 10, 11, n // 2 + 1, n - 1, n} & set(range(2, n + 1))):
+            out = smooth(MseTrace(values), w).values_db
+            assert out.tobytes() == _smooth_convolved(values, w).tobytes(), w
+        assert smooth(MseTrace(values), 1).values_db.tobytes() == values.tobytes()
 
     def test_window_validation(self):
         trace = MseTrace(np.zeros(5))
@@ -109,6 +143,20 @@ class TestComputeTm:
         report = compute_tm(MseTrace(-np.arange(40.0)), window=5, slack_db=0.2)
         assert report.window == 5
         assert report.slack_db == 0.2
+
+    @pytest.mark.parametrize("window", [1, 2, 5, 10])
+    def test_smoothed_trace_is_used_as_it_is(self, window):
+        for values in _synthetic_traces():
+            raw = MseTrace(values)
+            assert compute_tm(smooth(raw, window), window) == compute_tm(raw, window)
+
+    def test_smoothed_bundled_white_curves_give_the_same_onset(self, white_results):
+        spec, results = white_results
+        for res in results:
+            raw = res.ensemble.trace
+            w = spec.smoothing_window
+            assert compute_tm(smooth(raw, w), w, spec.tm_slack_db) == compute_tm(
+                raw, w, spec.tm_slack_db) == res.tm
 
     def test_rejects_negative_slack(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,15 @@
 """Tests for tap-delay lines, noise generation and FIR design."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from apbench.signals import (
+    FREQ_BLOCK_ROWS,
+    MAG_FLOOR,
     NoiseKind,
     NoiseSpec,
     TapDelayLine,
@@ -212,3 +216,31 @@ class TestFrequencyResponse:
     def test_rejects_k_points_below_two(self):
         with pytest.raises(ValueError):
             frequency_response([1.0], 1)
+
+    @pytest.mark.parametrize("taps", [1, 13, 64])
+    @pytest.mark.parametrize("k_points", [
+        2, FREQ_BLOCK_ROWS - 1, FREQ_BLOCK_ROWS, FREQ_BLOCK_ROWS + 1,
+        2 * FREQ_BLOCK_ROWS + 1, 2 * FREQ_BLOCK_ROWS + 3,
+    ])
+    def test_blocks_equal_the_one_shot_formula_bit_for_bit(self, k_points, taps):
+        omegas = np.linspace(0.0, np.pi, k_points)
+        phases = np.exp(-1j * np.outer(omegas, np.arange(taps)))
+        # several filters: a differently summed row changes the last bit of
+        # only some of them
+        for w in np.random.default_rng(taps).standard_normal((4, taps)):
+            expected = 20.0 * np.log10(np.maximum(np.abs(phases @ w), MAG_FLOOR))
+            fr = frequency_response(w, k_points)
+            assert fr.omegas.tobytes() == omegas.tobytes()
+            assert fr.magnitude_db.tobytes() == expected.tobytes()
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # one shot, 8192 x 64 complex phases alone are 8 MB (about 16 MB traced
+        # peak); in blocks the peak is about one block's temporaries
+        w = np.random.default_rng(5).standard_normal(64)
+        tracemalloc.start()
+        try:
+            frequency_response(w, 8192)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
