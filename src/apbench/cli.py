@@ -12,9 +12,7 @@ only from base_seed), so their learning curves are directly comparable.
 Outputs are deterministic: rerunning a config reproduces byte-identical CSV
 files. Every float is written as "%.17g" (the same text as
 format(float(v), ".17g")), and each file is formatted and written in chunks
-of CHUNK_ROWS rows. All runs of an ensemble are adapted together in one
-loop over time; --threads is still accepted and validated but changes
-nothing.
+of CHUNK_ROWS rows.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 """
@@ -22,22 +20,16 @@ Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import selftest as selftest_mod
-from .algorithms import (
-    AlgorithmConfig,
-    AlgorithmKind,
-    MuMode,
-    step_multiplies,
-    step_multiplies_literal,
-)
+from .algorithms import AlgorithmConfig, AlgorithmKind, MuMode, step_multiplies_literal
 from .metrics import TmReport, compute_tm, misalignment_db, smooth
 from .signals import NoiseKind, NoiseSpec, design_highpass_fir, frequency_response
 from .sysid import AdaptationError, EnsembleResult, ExperimentConfig, PlantModel, run_ensemble
@@ -62,7 +54,7 @@ class ConfigError(ValueError):
     """Invalid command line or experiment file."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentFile:
     """Parsed and validated experiment description."""
 
@@ -89,7 +81,7 @@ class ExperimentFile:
         )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class VariantResult:
     name: str
     algorithm: AlgorithmConfig
@@ -109,19 +101,50 @@ def _pop_known(obj: dict, context: str, known: dict):
     """Extract known keys from a JSON object, rejecting everything else."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{context} must be a JSON object")
-    remaining = dict(obj)
-    out = {}
-    for key, default in known.items():
-        out[key] = remaining.pop(key, default)
-    if remaining:
-        raise ConfigError(f"unknown key(s) in {context}: {', '.join(sorted(remaining))}")
-    return out
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {context}: {', '.join(unknown)}")
+    return {key: obj.get(key, default) for key, default in known.items()}
 
 
 def _require(value, context: str):
     if value is None:
         raise ConfigError(f"missing required field: {context}")
     return value
+
+
+def _number(value, context: str, default, kind):
+    """A finite JSON number as ``kind`` (int: integral values only); None gives ``default``.
+
+    Booleans and strings are rejected, and so is None when ``default`` is ``...``.
+    """
+    if value is None:
+        return _require(None, context) if default is ... else default
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max and (kind is float or value == int(value))):
+        return kind(value)
+    raise ConfigError(f"{context} must be {'an integer' if kind is int else 'a finite number'}, "
+                      f"got {value!r}")
+
+
+def _int(value, context: str, default=...):
+    return _number(value, context, default, int)
+
+
+def _float(value, context: str, default=...):
+    return _number(value, context, default, float)
+
+
+def _floats(values, context: str) -> list[float]:
+    return [_float(v, f"{context}[{i}]") for i, v in enumerate(values)]
+
+
+def _enum(cls, value, context: str):
+    try:
+        return cls(value)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{context} must be one of {[m.value for m in cls]}, got {value!r}") from exc
 
 
 def _parse_plant(obj) -> PlantModel:
@@ -133,11 +156,12 @@ def _parse_plant(obj) -> PlantModel:
     try:
         if fields["design"] is not None:
             d = _pop_known(fields["design"], "plant.design", {"num_taps": None, "cutoff_fn": None})
-            h = design_highpass_fir(int(_require(d["num_taps"], "plant.design.num_taps")),
-                                    float(_require(d["cutoff_fn"], "plant.design.cutoff_fn")))
+            h = design_highpass_fir(_int(d["num_taps"], "plant.design.num_taps"),
+                                    _float(d["cutoff_fn"], "plant.design.cutoff_fn"))
         else:
-            h = [float(c) for c in fields["coefficients"]]
-        return PlantModel(h=h, measurement_noise_sigma=float(fields["measurement_noise_sigma"]))
+            h = _floats(fields["coefficients"], "plant.coefficients")
+        return PlantModel(h=h, measurement_noise_sigma=_float(
+            fields["measurement_noise_sigma"], "plant.measurement_noise_sigma"))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid plant: {exc}") from exc
 
@@ -146,24 +170,18 @@ def _parse_noise(obj) -> NoiseSpec:
     fields = _pop_known(obj, "noise", {
         "kind": None, "sigma": None, "ar_coefficient": None, "fir_coefficients": None,
     })
-    kind_name = _require(fields["kind"], "noise.kind")
-    try:
-        kind = NoiseKind(kind_name)
-    except ValueError as exc:
-        raise ConfigError(
-            f"noise.kind must be one of {[k.value for k in NoiseKind]}, got {kind_name!r}"
-        ) from exc
+    kind = _enum(NoiseKind, _require(fields["kind"], "noise.kind"), "noise.kind")
     if kind is not NoiseKind.AR1_COLORED and fields["ar_coefficient"] is not None:
         raise ConfigError("noise.ar_coefficient is only valid for kind 'ar1'")
     if kind is not NoiseKind.FIR_COLORED and fields["fir_coefficients"] is not None:
         raise ConfigError("noise.fir_coefficients is only valid for kind 'fir'")
+    fir = fields["fir_coefficients"]
     try:
         return NoiseSpec(
             kind=kind,
-            sigma=float(_require(fields["sigma"], "noise.sigma")),
-            ar_coefficient=(0.0 if fields["ar_coefficient"] is None
-                            else float(fields["ar_coefficient"])),
-            fir_coefficients=tuple(fields["fir_coefficients"]) if fields["fir_coefficients"] else None,
+            sigma=_float(fields["sigma"], "noise.sigma"),
+            ar_coefficient=_float(fields["ar_coefficient"], "noise.ar_coefficient", 0.0),
+            fir_coefficients=None if fir is None else tuple(_floats(fir, "noise.fir_coefficients")),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid noise: {exc}") from exc
@@ -179,31 +197,19 @@ def _parse_variant(obj, index: int) -> tuple[str, AlgorithmConfig]:
     name = str(_require(fields["name"], f"{ctx}.name"))
     if not name or any(c not in "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-." for c in name):
         raise ConfigError(f"{ctx}.name must be non-empty and filesystem-safe, got {name!r}")
-    kind_name = _require(fields["kind"], f"{ctx}.kind")
-    try:
-        kind = AlgorithmKind(kind_name)
-    except ValueError as exc:
-        raise ConfigError(
-            f"{ctx}.kind must be one of {[k.value for k in AlgorithmKind]}, got {kind_name!r}"
-        ) from exc
-    mu_mode = None
-    if fields["mu_mode"] is not None:
-        try:
-            mu_mode = MuMode(fields["mu_mode"])
-        except ValueError as exc:
-            raise ConfigError(
-                f"{ctx}.mu_mode must be one of {[m.value for m in MuMode]}, got {fields['mu_mode']!r}"
-            ) from exc
+    kind = _enum(AlgorithmKind, _require(fields["kind"], f"{ctx}.kind"), f"{ctx}.kind")
+    mu_mode = None if fields["mu_mode"] is None else \
+        _enum(MuMode, fields["mu_mode"], f"{ctx}.mu_mode")
     try:
         config = AlgorithmConfig(
             kind=kind,
-            filter_length=int(_require(fields["filter_length"], f"{ctx}.filter_length")),
-            mu=None if fields["mu"] is None else float(fields["mu"]),
+            filter_length=_int(fields["filter_length"], f"{ctx}.filter_length"),
+            mu=_float(fields["mu"], f"{ctx}.mu", None),
             mu_mode=mu_mode,
-            projection_order=None if fields["projection_order"] is None else int(fields["projection_order"]),
-            delta=None if fields["delta"] is None else float(fields["delta"]),
-            normalization_order=(None if fields["normalization_order"] is None
-                                 else int(fields["normalization_order"])),
+            projection_order=_int(fields["projection_order"], f"{ctx}.projection_order", None),
+            delta=_float(fields["delta"], f"{ctx}.delta", None),
+            normalization_order=_int(fields["normalization_order"], f"{ctx}.normalization_order",
+                                     None),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid {ctx}: {exc}") from exc
@@ -218,11 +224,12 @@ def load_experiment_file(path: Path) -> ExperimentFile:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
+    # the optional top-level keys default to ExperimentFile's own field defaults
     fields = _pop_known(raw, "experiment file", {
-        "description": "", "output_dir": ".", "iterations": None,
-        "ensemble_runs": None, "base_seed": None, "smoothing_window": 10,
-        "tm_slack_db": 0.1, "freq_points": 512, "plant": None, "noise": None,
-        "algorithms": None,
+        "iterations": None, "ensemble_runs": None, "base_seed": None,
+        "plant": None, "noise": None, "algorithms": None,
+        **{f.name: f.default for f in dataclasses.fields(ExperimentFile)
+           if f.default is not dataclasses.MISSING},
     })
     plant = _parse_plant(_require(fields["plant"], "plant"))
     noise = _parse_noise(_require(fields["noise"], "noise"))
@@ -238,19 +245,19 @@ def load_experiment_file(path: Path) -> ExperimentFile:
         spec = ExperimentFile(
             plant=plant,
             noise=noise,
-            iterations=int(_require(fields["iterations"], "iterations")),
-            ensemble_runs=int(_require(fields["ensemble_runs"], "ensemble_runs")),
-            base_seed=int(_require(fields["base_seed"], "base_seed")),
+            iterations=_int(fields["iterations"], "iterations"),
+            ensemble_runs=_int(fields["ensemble_runs"], "ensemble_runs"),
+            base_seed=_int(fields["base_seed"], "base_seed"),
             variants=variants,
             output_dir=str(fields["output_dir"]),
-            smoothing_window=int(fields["smoothing_window"]),
-            tm_slack_db=float(fields["tm_slack_db"]),
-            freq_points=int(fields["freq_points"]),
+            smoothing_window=_int(fields["smoothing_window"], "smoothing_window"),
+            tm_slack_db=_float(fields["tm_slack_db"], "tm_slack_db"),
+            freq_points=_int(fields["freq_points"], "freq_points"),
             description=str(fields["description"]),
         )
         if spec.smoothing_window < 1:
             raise ConfigError("smoothing_window must be >= 1")
-        if spec.tm_slack_db < 0:
+        if not spec.tm_slack_db >= 0:
             raise ConfigError("tm_slack_db must be >= 0")
         if spec.freq_points < 2:
             raise ConfigError("freq_points must be >= 2")
@@ -291,8 +298,7 @@ def run_experiment_file(spec: ExperimentFile, threads: int = 1) -> list[VariantR
             smoothed_db=smoothed.values_db,
             tm=tm,
             misalignment_db=mis,
-            total_multiplies_corrected=spec.iterations * step_multiplies(
-                algo.kind, algo.filter_length, algo.projection_order),
+            total_multiplies_corrected=ensemble.runs[0].total_multiplies,
             total_multiplies_literal=spec.iterations * step_multiplies_literal(
                 algo.kind, algo.filter_length, algo.projection_order),
         ))
@@ -329,12 +335,6 @@ def _csv_text(text: str) -> str:
     return text
 
 
-def _zero_padded(values: np.ndarray, length: int) -> np.ndarray:
-    padded = np.zeros(length)
-    padded[: values.shape[0]] = values
-    return padded
-
-
 def write_artifacts(spec: ExperimentFile, results: list[VariantResult], out_dir: Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -350,7 +350,7 @@ def write_artifacts(spec: ExperimentFile, results: list[VariantResult], out_dir:
         taps = max(w_mean.shape[0], h.shape[0])
         _write_columns(out / f"{res.name}_weights.csv",
                        ["tap_index", "adaptive_weight", "plant_weight"], "%d,%.17g,%.17g",
-                       [range(taps), _zero_padded(w_mean, taps), _zero_padded(h, taps)])
+                       [range(taps)] + [np.pad(v, (0, taps - v.shape[0])) for v in (w_mean, h)])
 
         adaptive_fr = frequency_response(w_mean, spec.freq_points)
         _write_columns(out / f"{res.name}_freqresp.csv",

@@ -135,10 +135,7 @@ def misalignment_db(w, h) -> float:
     wv = np.asarray(w, dtype=float)
     hv = np.asarray(h, dtype=float)
     size = max(wv.shape[0], hv.shape[0])
-    if wv.shape[0] < size:
-        wv = np.concatenate([wv, np.zeros(size - wv.shape[0])])
-    if hv.shape[0] < size:
-        hv = np.concatenate([hv, np.zeros(size - hv.shape[0])])
+    wv, hv = (np.pad(v, (0, size - v.shape[0])) for v in (wv, hv))
     h_norm = float(np.linalg.norm(hv))
     if h_norm == 0.0:
         raise ValueError("misalignment is undefined for an all-zero reference vector")

@@ -102,7 +102,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if not (0 <= self.seed <= _SEED_MASK):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")

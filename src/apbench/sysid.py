@@ -14,17 +14,11 @@ the inputs, errors of shape (*B, k), with B = (R,) for an ensemble and
 B = () for a single run (also a one-run ensemble). Every member goes through
 the same floating-point operations whatever else is in the batch, so its
 results are bit-identical in an ensemble of any size and in run_single.
-The LMS loop updates its weights in place through preallocated buffers,
-with lms_update's operations. A member that fails (a singular projection
-step after warm-up, a solve short of the residual bound, or divergence) is
-frozen while the others finish, and the lowest failing run is reported.
-run_single steps LMS through the public lms_step, and an ensemble runs
-member by member through run_single when that function has been replaced
-at this module's attribute (a timing wrapper), so that such a wrapper sees
-every run and every LMS step.
-The ``max_workers`` argument (``--threads`` on the command line) is still
-accepted and validated but no longer changes how a run executes or what it
-outputs.
+A member that fails (a singular projection step after warm-up, a solve
+short of the residual bound, or divergence) is frozen while the others
+finish, and the lowest failing run is reported. run_single and run_ensemble
+document how a wrapper installed at this module's run_single or lms_step
+sees every run and every LMS step.
 """
 
 from __future__ import annotations
@@ -85,7 +79,7 @@ class PlantModel:
         object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
         if self.h.ndim != 1 or self.h.shape[0] < 1:
             raise ValueError("plant h must be a non-empty 1-D coefficient array")
-        if self.measurement_noise_sigma < 0:
+        if not self.measurement_noise_sigma >= 0:
             raise ValueError(
                 f"measurement_noise_sigma must be >= 0, got {self.measurement_noise_sigma}"
             )

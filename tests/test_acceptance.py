@@ -10,16 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from apbench.algorithms import (
-    AlgorithmKind,
-    ap_step,
-    i_inv,
-    step_multiplies,
-    step_multiplies_literal,
-)
+from apbench.algorithms import AlgorithmKind, i_inv, step_multiplies, step_multiplies_literal
 from apbench.cli import load_experiment_file, main, resolve_config_path, run_experiment_file
-from apbench.linalg import RESIDUAL_RTOL, solve_regularized
 from apbench.metrics import misalignment_db
+from apbench.selftest import aposteriori_contraction, nlms_equivalence, solver_residual
 
 
 def _report(criterion: int, description: str, ok: bool, detail: str) -> None:
@@ -102,67 +96,21 @@ def test_criterion_4_weight_match(colored_run):
 
 
 def test_criterion_5_nlms_equivalence_property():
-    rng = np.random.default_rng(2468)
-    worst = 0.0
-    for _ in range(10**4):
-        L = int(rng.integers(1, 33))
-        w0 = rng.standard_normal(L)
-        x = rng.standard_normal(L)
-        d = float(rng.standard_normal())
-        mu = float(rng.uniform(0.01, 2.0))
-        w_ap, _ = ap_step(w0, x[None, :], [d], mu, 0.0)
-        e = d - float(x @ w0)
-        w_ref = w0 + mu * e * x / float(x @ x)
-        scale = max(float(np.max(np.abs(w_ref))), 1.0)
-        worst = max(worst, float(np.max(np.abs(w_ap - w_ref))) / scale)
-    ok = worst <= 1e-12
-    _report(5, "NLMS equivalence over 10^4 instances", ok,
-            f"max relative deviation {worst:.2e} (bound 1e-12)")
-    assert ok, worst
+    ok, detail = nlms_equivalence(10**4, 2468)
+    _report(5, "NLMS equivalence over 10^4 instances", ok, detail)
+    assert ok, detail
 
 
 def test_criterion_6_aposteriori_contraction_property():
-    rng = np.random.default_rng(1357)
-    worst = 0.0
-    for _ in range(10**3):
-        N = int(rng.integers(1, 5))
-        L = int(rng.integers(N + 1, 24))
-        X = rng.standard_normal((N, L))
-        w0 = rng.standard_normal(L)
-        d = rng.standard_normal(N)
-        for mu in (0.25, 0.5, 1.0):
-            w_new, _ = ap_step(w0, X, d, mu, 0.0)
-            e_pri = d - X @ w0
-            e_post = d - X @ w_new
-            worst = max(worst, float(np.max(np.abs(e_post - (1.0 - mu) * e_pri))))
-    ok = worst <= 1e-10
-    _report(6, "a-posteriori contraction over 10^3 instances x 3 step sizes", ok,
-            f"max |e_post - (1-mu) e_pri| = {worst:.2e} (bound 1e-10)")
-    assert ok, worst
+    ok, detail = aposteriori_contraction(10**3, 1357)
+    _report(6, "a-posteriori contraction over 10^3 instances x 3 step sizes", ok, detail)
+    assert ok, detail
 
 
 def test_criterion_7_solver_residual_property():
-    rng = np.random.default_rng(9753)
-    worst = 0.0
-    for i in range(10**4):
-        n = int(rng.integers(1, 9))
-        if i % 4 == 0:
-            u = rng.standard_normal(n)
-            gram = np.outer(u, u)  # singular without regularization
-            delta = float(rng.uniform(1e-4, 1e-2))
-        else:
-            a = rng.standard_normal((n, n))
-            gram = a @ a.T + 1e-3 * np.eye(n)
-            delta = float(rng.choice([0.0, 1e-8, 1e-6, 1e-3]))
-        rhs = rng.standard_normal(n)
-        x = solve_regularized(gram, delta, rhs)
-        resid = float(np.max(np.abs((gram + delta * np.eye(n)) @ x - rhs)))
-        bound = RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(rhs))))
-        worst = max(worst, resid / bound)
-    ok = worst <= 1.0
-    _report(7, "solver residual bound over 10^4 systems", ok,
-            f"worst residual at {worst:.3f} of the permitted bound")
-    assert ok, worst
+    ok, detail = solver_residual(10**4, 9753)
+    _report(7, "solver residual bound over 10^4 systems", ok, detail)
+    assert ok, detail
 
 
 def test_criterion_8_complexity_accounting(white_run, colored_run):

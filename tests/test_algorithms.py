@@ -330,3 +330,6 @@ class TestAlgorithmConfig:
             AlgorithmConfig(AlgorithmKind.R_AP, filter_length=8, mu=-0.5)
         with pytest.raises(ValueError):
             AlgorithmConfig(AlgorithmKind.R_AP, filter_length=8, projection_order=0)
+        for delta in (-1e-3, float("nan")):
+            with pytest.raises(ValueError):
+                AlgorithmConfig(AlgorithmKind.R_AP, filter_length=8, delta=delta)

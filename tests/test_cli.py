@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import apbench.linalg
+import apbench.selftest
 from apbench import cli
 from apbench.algorithms import (AlgorithmConfig, AlgorithmKind, step_multiplies,
                                 step_multiplies_literal)
@@ -235,6 +236,22 @@ class TestRunCommand:
                             r"could not reach the guaranteed residual bound .*\n", err)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("patch, field", [
+        ({"noise": {"kind": "white", "sigma": float("nan")}}, "noise.sigma"),
+        ({"algorithms": [{"name": "r_ap", "kind": "r_ap", "filter_length": 7,
+                          "delta": float("nan")}]}, "algorithms[0].delta"),
+        ({"tm_slack_db": float("inf")}, "tm_slack_db"),
+        ({"iterations": 50.7}, "iterations"),
+        ({"iterations": "50"}, "iterations"),
+        ({"ensemble_runs": True}, "ensemble_runs"),
+    ])
+    def test_numbers_must_be_finite_and_integers_integral(self, tmp_path, capsys, patch, field):
+        out = tmp_path / "out"
+        path = _write_config(tmp_path, _tiny_config(out, **patch))  # json writes NaN, Infinity
+        assert main(["run", str(path)]) == 1
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bundled_configs_resolve_and_validate(self):
         for name in ("white", "colored"):
             with warnings.catch_warnings():
@@ -383,6 +400,18 @@ class TestSelftestCommand:
         monkeypatch.setattr(apbench.linalg, "solve_regularized", perturbed)
         assert main(["selftest"]) != 0
         assert "FAIL" in capsys.readouterr().out
+
+    def test_negative_control_perturbed_step(self, monkeypatch, capsys):
+        real = apbench.selftest.ap_step
+
+        def perturbed(w, data, d_vec, mu, delta):
+            return real(w, data, d_vec, mu * (1 + 1e-6), delta)  # a slightly long step
+
+        monkeypatch.setattr(apbench.selftest, "ap_step", perturbed)
+        assert main(["selftest"]) != 0
+        failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                  if "FAIL" in line]
+        assert failed == ["nlms_equivalence", "aposteriori_contraction"]
 
 
 def test_usage_errors_are_validation_failures():

@@ -101,8 +101,9 @@ class TestGenerateNoise:
             generate_noise(spec, 0)
         with pytest.raises(ValueError):
             generate_noise(NoiseSpec(NoiseKind.WHITE, sigma=0.0), 10)
-        with pytest.raises(ValueError):
-            NoiseSpec(NoiseKind.WHITE, sigma=-1.0)
+        for sigma in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                NoiseSpec(NoiseKind.WHITE, sigma=sigma)
         with pytest.raises(ValueError):
             NoiseSpec(NoiseKind.AR1_COLORED, sigma=1.0, ar_coefficient=1.0)
         with pytest.raises(ValueError):

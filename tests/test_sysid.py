@@ -352,5 +352,6 @@ class TestExperimentConfig:
             _config(algo, [1.0], seed=-2)
         with pytest.raises(ValueError):
             PlantModel(h=[])
-        with pytest.raises(ValueError):
-            PlantModel(h=[1.0], measurement_noise_sigma=-0.1)
+        for sigma in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                PlantModel(h=[1.0], measurement_noise_sigma=sigma)
