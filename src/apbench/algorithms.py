@@ -218,7 +218,7 @@ def lms_update(w: np.ndarray, x: np.ndarray, desired, mu):
     return w + (scale[..., None] if scale.ndim else scale) * x, y, e
 
 
-def ap_update(w: np.ndarray, X: np.ndarray, d_vec: np.ndarray, mu, delta: float, skip=None):
+def ap_update(w: np.ndarray, X: np.ndarray, d_vec: np.ndarray, mu, delta: float):
     """Affine-projection step for a batch of members.
 
     Weights have shape (*B, L), data matrices (*B, k, L) newest row first and
@@ -227,13 +227,11 @@ def ap_update(w: np.ndarray, X: np.ndarray, d_vec: np.ndarray, mu, delta: float,
     singular, inexact): the updated weights, the a-priori outputs and errors
     (*B, k), the members whose Gram matrix is numerically singular and the
     members whose solve missed the residual bound (solve_stacked's flags;
-    the rows of w_new of flagged members are NaN). The members flagged in
-    ``skip`` (shape B) discard their update, so their solve is not held to
-    the residual bound.
+    the rows of w_new of flagged members are NaN).
     """
     y, e = _ap_errors(w, X, d_vec)
     Xt = np.swapaxes(X, -1, -2)
-    eps, singular, inexact = solve_stacked(X @ Xt, delta, e, skip)
+    eps, singular, inexact = solve_stacked(X @ Xt, delta, e)
     return _ap_correct(w, Xt, eps, mu), y, e, singular, inexact
 
 

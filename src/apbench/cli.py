@@ -70,6 +70,14 @@ class ExperimentFile:
     freq_points: int = 512
     description: str = ""
 
+    def __post_init__(self):
+        if self.smoothing_window < 1:
+            raise ConfigError("smoothing_window must be >= 1")
+        if not self.tm_slack_db >= 0:
+            raise ConfigError("tm_slack_db must be >= 0")
+        if self.freq_points < 2:
+            raise ConfigError("freq_points must be >= 2")
+
     def experiment_config(self, algorithm: AlgorithmConfig) -> ExperimentConfig:
         return ExperimentConfig(
             plant=self.plant,
@@ -255,12 +263,6 @@ def load_experiment_file(path: Path) -> ExperimentFile:
             freq_points=_int(fields["freq_points"], "freq_points"),
             description=str(fields["description"]),
         )
-        if spec.smoothing_window < 1:
-            raise ConfigError("smoothing_window must be >= 1")
-        if not spec.tm_slack_db >= 0:
-            raise ConfigError("tm_slack_db must be >= 0")
-        if spec.freq_points < 2:
-            raise ConfigError("freq_points must be >= 2")
         # validate every variant's full experiment before any run starts
         for _, algo in spec.variants:
             spec.experiment_config(algo)

@@ -7,6 +7,12 @@ floats for a single system): every member sees exactly the scalar operation
 sequence of a textbook Cholesky, so its result does not depend on what else
 is in the stack, and the pivot tolerance is under exact control. Only the
 lower triangle of the input matrix is read by the factorization.
+
+Factoring (_factor) and solving with a factor (_solve_factored) are
+separate steps. solve_stacked runs one after the other; the adaptation loop
+in sysid factors a block of time steps' Grams at once, their entries being
+arrays over (step, stack), and solves each step with its slice of the
+factor, so both take the same path through the same operations.
 """
 
 from __future__ import annotations
@@ -109,22 +115,32 @@ def _residual_norm(a: list, x: list, b: list, n: int) -> tuple[list, object]:
     return r, _largest([abs(v) for v in r])
 
 
-def _solve(a: list, b: list, n: int, delta: float, skip) -> tuple[list, object, object]:
-    """solve_stacked on entry lists: Python floats or arrays over the stack.
+def _factor(a: list, n: int, delta: float) -> tuple[list, object]:
+    """Cholesky factor of the entry lists ``a`` + delta*I: (chol, singular).
 
-    ``a`` is the Gram matrix as n rows of n entries (its diagonal receives
-    delta in place), ``b`` the right-hand side as n entries. Returns the
-    solution entries, the singular flags and the flags of the members still
-    short of the residual bound after the refinement passes.
+    ``a`` is the Gram matrix as n rows of n entries, Python floats or arrays
+    over the stack; its diagonal receives delta in place, so that ``a`` is
+    the regularized matrix that _solve_factored measures residuals against.
+    The factor depends on the matrix alone, so one factorization serves
+    every right-hand side solved against it.
     """
     if delta:
         for i in range(n):
             a[i][i] = a[i][i] + delta
-    chol, singular = _cholesky(a, n)
+    return _cholesky(a, n)
+
+
+def _solve_factored(a: list, chol: list, b: list, n: int, held) -> tuple[list, object]:
+    """Solve ``a`` x = b with its factor ``chol``, refining toward the residual bound.
+
+    ``b`` holds the right-hand side as n entries. Returns the solution
+    entries and the flags of the members in ``held`` still short of the
+    residual bound after the refinement passes; members not held (singular
+    or skipped) are neither refined nor flagged.
+    """
     x = _substitute(chol, b, n)
     bound = RESIDUAL_RTOL * (1.0 + _largest([abs(v) for v in b]))
     r, r_norm = _residual_norm(a, x, b, n)
-    held = np.logical_not(singular if skip is None else singular | skip)
     # a NaN residual (non-finite system) never counts as short of the bound
     short = (r_norm > bound) & held
     for _ in range(REFINEMENT_PASSES):
@@ -133,7 +149,15 @@ def _solve(a: list, b: list, n: int, delta: float, skip) -> tuple[list, object, 
         x = [_select(short, xi + ci, xi) for xi, ci in zip(x, _substitute(chol, r, n))]
         r, r_norm = _residual_norm(a, x, b, n)
         short = (r_norm > bound) & held
-    return x, singular, short
+    return x, short
+
+
+def _solve(a: list, b: list, n: int, delta: float, skip) -> tuple[list, object, object]:
+    """solve_stacked on entry lists: (solution entries, singular, inexact)."""
+    chol, singular = _factor(a, n, delta)
+    held = np.logical_not(singular if skip is None else singular | skip)
+    x, inexact = _solve_factored(a, chol, b, n, held)
+    return x, singular, inexact
 
 
 def solve_stacked(gram, delta: float, rhs, skip=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,7 +175,7 @@ def solve_stacked(gram, delta: float, rhs, skip=None) -> tuple[np.ndarray, np.nd
     (...)) are neither refined nor held to the residual bound: their
     solution is not going to be used.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     g = np.asarray(gram, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:

@@ -14,6 +14,10 @@ the inputs, errors of shape (*B, k), with B = (R,) for an ensemble and
 B = () for a single run (also a one-run ensemble). Every member goes through
 the same floating-point operations whatever else is in the batch, so its
 results are bit-identical in an ensemble of any size and in run_single.
+The projection kinds factor their Gram matrices one block of time steps at
+a time (PROJECTION_BLOCK): the Grams and their factors depend on the input
+alone, so only the weight-dependent work runs step by step, with the same
+arithmetic as a per-step factorization.
 A member that fails (a singular projection step after warm-up, a solve
 short of the residual bound, or divergence) is frozen while the others
 finish, and the lowest failing run is reported. run_single and run_ensemble
@@ -29,8 +33,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, ap_update, lms_step,
-                         step_multiplies)
+from . import linalg
+from .algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, _ap_correct, _ap_errors,
+                         ap_update, lms_step, step_multiplies)
 # not called here; it stays a module attribute next to lms_step for code that
 # looks it up or wraps it here
 from .algorithms import ap_step  # noqa: F401
@@ -57,6 +62,11 @@ MEASUREMENT_STREAM_SALT = 0x9E3779B97F4A7C15
 # regressors (tiny ||x||^2) cannot push the projection update outside its
 # stability range mu in (0, 2)
 AUTO_MU_CAP = 1.0
+
+# projection steps whose Gram matrices are built and factored together: long
+# enough to spread the per-block numpy calls, short enough that a block's
+# Grams and factors stay small beside the ensemble's signals
+PROJECTION_BLOCK = 16
 
 
 class AdaptationError(RuntimeError):
@@ -185,9 +195,7 @@ def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray,
         if algo.kind is AlgorithmKind.LMS:
             w = _lms_loop(algo.mu, regressors, d, w, errors, via_lms_step)
         else:
-            step = _projection_step(algo, delta, regressors, d, failed_at, inexact)
-            for n in range(T):
-                w, errors[n] = step(n, w)
+            w = _projection_loop(algo, delta, regressors, d, errors, failed_at, inexact)
     return errors, w, failed_at, inexact
 
 
@@ -222,9 +230,10 @@ def _lms_loop(mu: float, regressors: np.ndarray, d: np.ndarray, w: np.ndarray,
     return w
 
 
-def _projection_step(algo: AlgorithmConfig, delta: float, regressors: np.ndarray,
-                     d: np.ndarray, failed_at: np.ndarray, inexact: np.ndarray):
-    """Iteration n of BNDR-LMS or R-AP for a batch: (n, w) -> (w_new, error).
+def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray,
+                     d: np.ndarray, errors: np.ndarray, failed_at: np.ndarray,
+                     inexact: np.ndarray) -> np.ndarray:
+    """All T iterations of BNDR-LMS or R-AP for a batch; returns the final weights.
 
     Iterations with fewer than N-1 past samples use the regressors available
     so far: the all-zero padding rows carry no constraint and are omitted,
@@ -233,39 +242,67 @@ def _projection_step(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
     its weights. A member whose step is singular after warm-up, or whose
     solve misses the residual bound, is recorded in ``failed_at`` (the
     latter also in ``inexact``) and keeps its weights from then on.
+
+    The time steps run in blocks with one row count k: one step each for the
+    first N-1, then up to PROJECTION_BLOCK. What depends on the input alone
+    is computed once per block: the Grams X X^T + delta*I, their Cholesky
+    factors and singular flags, and ||x||^2 with the auto step sizes. Each
+    step then does the work that needs the current weights: the errors, the
+    substitution with its slice of the factor, the residual bound with
+    refinement, and the correction.
     """
     N, L = algo.projection_order, algo.filter_length
+    batch, T = d.shape[:-1], d.shape[-1]
     # rows[n][..., i, :] is the regressor at time n - i; d_rows likewise
     rows = np.swapaxes(sliding_window_view(regressors, N, axis=0), -1, -2)[..., ::-1, :]
-    dp = np.concatenate([np.zeros(d.shape[:-1] + (N - 1,)), d], axis=-1)
+    dp = np.concatenate([np.zeros(batch + (N - 1,)), d], axis=-1)
     d_rows = np.moveaxis(sliding_window_view(dp, N, axis=-1)[..., ::-1], -2, 0)
     auto = algo.mu_mode is MuMode.AUTO_NORMALIZED
     warmup = N + L - 2  # rows are not fully populated before this
-
-    def step(n, w):
-        k = min(n + 1, N)
-        X = rows[n][..., :k, :]
-        d_vec = d_rows[n][..., :k]
+    w = np.zeros(batch + (L,))
+    frozen = False  # whether a member has failed, and keeps its weights from then on
+    starts = list(range(min(N - 1, T))) + list(range(N - 1, T, PROJECTION_BLOCK))
+    for start, stop in zip(starts, starts[1:] + [T]):
+        k = min(start + 1, N)
+        X = rows[start:stop, ..., :k, :]
+        Xt = np.swapaxes(X, -1, -2)
+        d_block = d_rows[start:stop, ..., :k]
+        gram = X @ Xt
+        # a[i][j] has shape (steps, *B): one step's entries of a single run are scalars
+        a = [[gram[..., i, j] for j in range(k)] for i in range(k)]
+        chol, singular = linalg._factor(a, k, delta)
+        live = ~singular
         norm2 = np.vecdot(X[..., 0, :], X[..., 0, :])
-        mu = np.minimum(1.0 / (algo.normalization_order * norm2), AUTO_MU_CAP) if auto \
-            else algo.mu
-        idle = (norm2 == 0.0) | (failed_at >= 0)
-        w_new, _, e, singular, short = ap_update(w, X, d_vec, mu, delta, skip=idle)
-        # one test per step in the common case; idle members may be flagged
-        # singular too, their flag is dropped here
-        if (singular | short).any():
-            stuck = singular & ~idle
-            if stuck.any() and n < warmup:
-                stuck = _shed_rows(w, X, d_vec, mu, delta, stuck, short, w_new)
-            failed = stuck | short
-            failed_at[failed] = n
-            inexact[short] = True
-            idle |= failed
-        if idle.any():
-            w_new = np.where(idle[..., None], w, w_new)
-        return w_new, e[..., 0]
-
-    return step
+        mus = list(np.minimum(1.0 / (algo.normalization_order * norm2), AUTO_MU_CAP)) if auto \
+            else [algo.mu] * (stop - start)
+        empty = norm2 == 0.0
+        any_empty = empty.reshape(stop - start, -1).any(axis=1).tolist()
+        any_singular = singular.reshape(stop - start, -1).any(axis=1).tolist()
+        for i, n in enumerate(range(start, stop)):
+            _, e = _ap_errors(w, X[i], d_block[i])
+            errors[n] = e[..., 0]
+            # the members keeping their weights: no regressor or failed before; None if none
+            idle = empty[i] | (failed_at >= 0) if any_empty[i] or frozen else None
+            eps, short = linalg._solve_factored(
+                [[v[i] for v in row] for row in a], [[v[i] for v in row] for row in chol],
+                list(e.T), k, live[i] if idle is None else live[i] & ~idle)
+            # eps as (*B, k): a transposed copy costs less than np.stack's Python code
+            w_new = _ap_correct(w, Xt[i], np.array(eps).T.copy(), mus[i])
+            if any_singular[i] or short.any():
+                short = np.asarray(short)  # _shed_rows updates it in place
+                # idle members may be flagged singular too; their flag is dropped here
+                stuck = singular[i] if idle is None else singular[i] & ~idle
+                if n < warmup and stuck.any():
+                    stuck = _shed_rows(w, X[i], d_block[i], mus[i], delta, stuck, short, w_new)
+                failed = stuck | short
+                failed_at[failed] = n
+                inexact[short] = True
+                frozen = bool((failed_at >= 0).any())
+                idle = failed if idle is None else idle | failed
+            if idle is not None:
+                w_new = np.where(idle[..., None], w, w_new)
+            w = w_new
+    return w
 
 
 def _shed_rows(w, X, d_vec, mu, delta, stuck, short, w_new) -> np.ndarray:

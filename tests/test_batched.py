@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from apbench.algorithms import AlgorithmConfig, AlgorithmKind, MuMode
 from apbench.signals import NoiseKind, NoiseSpec, input_variance
-from apbench.sysid import AdaptationError, ExperimentConfig, PlantModel, run_ensemble, run_single
+from apbench.sysid import (PROJECTION_BLOCK, AdaptationError, ExperimentConfig, PlantModel,
+                           run_ensemble, run_single)
 
 
 @st.composite
@@ -53,7 +54,8 @@ def configs(draw):
         plant=PlantModel(h=plant, measurement_noise_sigma=draw(st.sampled_from([0.0, 0.01]))),
         algorithm=algo,
         noise=noise,
-        iterations=draw(st.integers(1, 40)),
+        # up to three blocks of projection iterations, so that runs cross block boundaries
+        iterations=draw(st.integers(1, 3 * PROJECTION_BLOCK)),
         ensemble_runs=draw(st.integers(2, 5)),
         base_seed=draw(st.integers(0, 2**64 - 1)),
     )

@@ -75,8 +75,11 @@ def test_matches_eigendecomposition_oracle_and_monotone_in_delta():
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
-        solve_regularized(np.eye(2), -1e-9, [1.0, 1.0])
+    for delta in (-1e-9, np.nan):
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            solve_regularized(np.eye(2), delta, [1.0, 1.0])
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            solve_stacked(np.eye(2)[None], delta, np.ones((1, 2)))
     with pytest.raises(ValueError):
         solve_regularized(np.ones((2, 3)), 0.0, [1.0, 1.0])
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the identification loop and ensemble harness."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from apbench import sysid
 from apbench.algorithms import AlgorithmConfig, AlgorithmKind, MuMode, step_multiplies
 from apbench.metrics import misalignment_db
-from apbench.signals import NoiseKind, NoiseSpec, design_highpass_fir, generate_noise
+from apbench.signals import (NoiseKind, NoiseSpec, design_highpass_fir, generate_noise,
+                             input_variance)
 from apbench.sysid import (
     MEASUREMENT_STREAM_SALT,
     AdaptationError,
@@ -355,3 +357,117 @@ class TestExperimentConfig:
         for sigma in (-0.1, float("nan")):
             with pytest.raises(ValueError):
                 PlantModel(h=[1.0], measurement_noise_sigma=sigma)
+
+
+# Block-boundary cases: every projection iteration of T = 3 * PROJECTION_BLOCK
+# + N + 1 steps, so each case crosses the one-step warm-up blocks and three
+# full blocks and ends in a short one.
+_FIR_LEADING_ZERO = NoiseSpec(NoiseKind.FIR_COLORED, sigma=1.0, fir_coefficients=[0.0, 1.0, -0.5])
+_AR1 = NoiseSpec(NoiseKind.AR1_COLORED, sigma=1.0, ar_coefficient=0.8)
+_BLOCK_CASES = {
+    "bndr_auto": (AlgorithmConfig(AlgorithmKind.BNDR_LMS, filter_length=6), WHITE, 0.01, 3, 5),
+    "bndr_auto_fir_leading_zero": (AlgorithmConfig(AlgorithmKind.BNDR_LMS, filter_length=6),
+                                   _FIR_LEADING_ZERO, 0.0, 3, 6),
+    "r_ap3_delta0": (AlgorithmConfig(AlgorithmKind.R_AP, filter_length=6, projection_order=3,
+                                     delta=0.0), WHITE, 0.01, 3, 7),
+    "r_ap3_delta1e-8": (AlgorithmConfig(AlgorithmKind.R_AP, filter_length=6, projection_order=3,
+                                        mu_mode=MuMode.FIXED, mu=0.5, delta=1e-8),
+                        _AR1, 0.0, 3, 8),
+    "r_ap4_delta0": (AlgorithmConfig(AlgorithmKind.R_AP, filter_length=6, projection_order=4,
+                                     mu_mode=MuMode.FIXED, mu=1.0, delta=0.0), WHITE, 0.0, 3, 9),
+    "r_ap4_delta1e-8": (AlgorithmConfig(AlgorithmKind.R_AP, filter_length=6, projection_order=4,
+                                        delta=1e-8), _AR1, 0.01, 3, 10),
+    "r_ap4_delta0_fir_leading_zero": (
+        AlgorithmConfig(AlgorithmKind.R_AP, filter_length=6, projection_order=4, delta=0.0),
+        _FIR_LEADING_ZERO, 0.0, 3, 11),
+    # N > L: runs 0 and 1 miss the residual bound at iterations 3 and 29, inside
+    # their blocks, while runs 2 and 3 adapt to the end
+    "r_ap2_fails_mid_block": (AlgorithmConfig(AlgorithmKind.R_AP, filter_length=1,
+                                              projection_order=2, mu_mode=MuMode.FIXED, mu=1.0,
+                                              delta=1e-8), WHITE, 0.01, 4, 14),
+}
+# sha256 of every run_single and run_ensemble outcome (or of the batch as
+# _adapt left it, when the ensemble fails), taken before the block loop
+_BLOCK_DIGESTS = {
+    "bndr_auto":
+        "16ec85442083ba1c64b2ab5dc787289c729f062f1eaf1c133be6f2682f3bc661",
+    "bndr_auto_fir_leading_zero":
+        "4ad82036e7d0aef447a6bb89fbeb3c90e038de271a76825b443d4fa698ccb0df",
+    "r_ap3_delta0":
+        "da887b9f0cc1f3785bc211478163efb9f38a1c8f6f855eedc6cd7e2df8266b0d",
+    "r_ap3_delta1e-8":
+        "12e0ccc4b4095cc7f45aac2f5e57377bf9a04c13dc4d099c14975e0eb0edb45c",
+    "r_ap4_delta0":
+        "223c6c7a6fdb52b7552789e25df97178062edd504162d9421809e80218fd1606",
+    "r_ap4_delta1e-8":
+        "80e598b1b3873da54c1f82402987757a7cc4ebf5b502c2e04e46e8b0d89cb2dd",
+    "r_ap4_delta0_fir_leading_zero":
+        "9594a6b90c78cbacd288cb0fd2cd380d76c11ba95fd2d258f5019f8ebc6f9418",
+    "r_ap2_fails_mid_block":
+        "0cb60a652bcf01327714163174c4e40d04c635868565027d23889f4cce48179c",
+}
+
+
+def _block_case(name):
+    algo, noise, meas_sigma, runs, seed = _BLOCK_CASES[name]
+    T = 3 * sysid.PROJECTION_BLOCK + algo.projection_order + 1
+    plant = [1.0, -0.6, 0.3][:algo.filter_length]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # under-modeling in the N > L case
+        return _config(algo, plant, iterations=T, runs=runs, seed=seed, meas_sigma=meas_sigma,
+                       noise=noise)
+
+
+def _block_digest(config):
+    """sha256 over each run alone, then the ensemble; errors by their message."""
+    digest = hashlib.sha256()
+
+    def add(outcome):
+        if isinstance(outcome, AdaptationError):
+            digest.update(str(outcome).encode())
+        else:
+            digest.update(outcome.mse_trace.tobytes() + outcome.final_weights.tobytes())
+
+    def attempt(fn, *args):
+        try:
+            return fn(*args)
+        except AdaptationError as exc:
+            return exc
+
+    for r in range(config.ensemble_runs):
+        add(attempt(run_single, config, r))
+    ensemble = attempt(run_ensemble, config)
+    if isinstance(ensemble, AdaptationError):
+        add(ensemble)
+        # the members that did not fail, as adapted beside the frozen ones
+        signals = [sysid._member_signals(config, r) for r in range(config.ensemble_runs)]
+        x, d = (np.stack(s) for s in zip(*signals))
+        algo = config.algorithm
+        delta = algo.resolved_delta(input_variance(config.noise))
+        for array in sysid._adapt(algo, delta, x, d):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    else:
+        for run in ensemble.runs:
+            add(run)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CASES))
+def test_projection_blocks_keep_every_bit(name, monkeypatch):
+    sheds = []
+    shed_rows = sysid._shed_rows
+
+    def counted_shed_rows(*args):
+        sheds.append(args)
+        return shed_rows(*args)
+
+    monkeypatch.setattr(sysid, "_shed_rows", counted_shed_rows)
+    config = _block_case(name)
+    assert _block_digest(config) == _BLOCK_DIGESTS[name]
+    # the cases cover what they are named for
+    if name.endswith("fir_leading_zero"):
+        assert sheds
+    if name.endswith("fails_mid_block"):
+        with pytest.raises(AdaptationError) as err:
+            run_ensemble(config)
+        assert (err.value.run_index, err.value.iteration) == (0, 3)
