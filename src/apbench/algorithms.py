@@ -18,7 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import SingularMatrixError, solve_regularized, solve_stacked
+from .linalg import SingularMatrixError, residual_error, singular_error, solve_stacked
+# not called here; it stays a module attribute for code that looks it up or wraps it here
+from .linalg import solve_regularized  # noqa: F401
 from .signals import TapDelayLine
 
 __all__ = [
@@ -262,8 +264,9 @@ def ap_step(w, data, d_vec, mu: float, delta: float) -> tuple[np.ndarray, StepOu
     With X the N x L data matrix (newest row first) and d_vec the matching
     desired samples, the step solves (X X^T + delta*I) eps = d_vec - X w and
     applies w' = w + mu * X^T eps. The reported output/error pair refers to
-    the newest row. Raises SingularMatrixError (via the solver) when
-    delta = 0 and the Gram matrix is numerically singular.
+    the newest row. This is ap_update for one member (B = ()); it raises
+    SingularMatrixError when the Gram matrix is numerically singular (with
+    delta = 0) and ArithmeticError when the solve misses the residual bound.
     """
     if not mu > 0:
         raise ValueError(f"mu must be > 0, got {mu}")
@@ -275,10 +278,11 @@ def ap_step(w, data, d_vec, mu: float, delta: float) -> tuple[np.ndarray, StepOu
         raise ValueError(f"regressor length {X.shape[1]} != weight length {wv.shape[0]}")
     if d.shape != (n_rows,):
         raise ValueError(f"d_vec must have shape ({n_rows},), got {d.shape}")
-    # ap_update's operations, with the solve through solve_regularized
-    y, e = _ap_errors(wv, X, d)
-    eps = solve_regularized(X @ X.T, delta, e)
-    w_new = _ap_correct(wv, X.T, eps, mu)
+    w_new, y, e, singular, inexact = ap_update(wv, X, d, mu, delta)
+    if singular:
+        raise singular_error()
+    if inexact:
+        raise residual_error()
     outcome = StepOutcome(float(y[0]), float(e[0]),
                           step_multiplies(AlgorithmKind.R_AP, wv.shape[0], n_rows))
     return w_new, outcome

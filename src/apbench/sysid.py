@@ -216,10 +216,15 @@ def _lms_loop(mu: float, regressors: np.ndarray, d: np.ndarray, w: np.ndarray,
         return w
     step = np.empty_like(w)
     if w.ndim == 1:
-        # one member: the error is a scalar, so the scale needs no broadcast
+        # one member: the error is a scalar, so the scale needs no broadcast;
+        # it is stored in a 0-d array, as a scalar operand would be converted
+        # to an array on every step
+        scale = np.empty(())
+        vecdot, multiply, add = np.vecdot, np.multiply, np.add
         for n, (x, d_n) in enumerate(zip(regressors, d)):
-            errors[n] = e = d_n - np.vecdot(x, w)
-            np.add(w, np.multiply(x, mu * e, out=step), out=w)
+            errors[n] = e = d_n - vecdot(x, w)
+            scale[()] = mu * e
+            add(w, multiply(x, scale, out=step), out=w)
         return w
     y = np.empty(w.shape[:-1])
     scale = np.empty(w.shape[:-1] + (1,))

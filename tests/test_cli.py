@@ -363,7 +363,7 @@ def _crafted_results(rows):
 def test_summary_quotes_variant_names_as_csv_writer_did(tmp_path):
     # names from experiment files are filesystem-safe; library callers may pass any
     spec, results = _crafted_results(3)
-    names = ['a,b', 'say "hi"', "line\nbreak"]
+    names = ['a,b', 'say "hi"', "line\nbreak", "naïve"]
     results = [dataclasses.replace(results[0], name=name) for name in names]
     write_artifacts(spec, results, tmp_path / "chunked")
     _reference_artifacts(spec, results, tmp_path / "reference")
@@ -416,6 +416,160 @@ WHITE_ARTIFACT_SHA256 = {
 def test_bundled_white_artifacts_keep_their_bytes(tmp_path, capsys):
     assert main(["run", "white", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in WHITE_ARTIFACT_SHA256}
+    assert digests == WHITE_ARTIFACT_SHA256
+
+
+class ForkLog:
+    """Wraps os.fork and os.waitpid to count forks and the children in flight."""
+
+    def __init__(self, monkeypatch):
+        self.forks = self.in_flight = self.peak = 0
+        real_fork, real_waitpid = os.fork, os.waitpid
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                self.forks += 1
+                self.in_flight += 1
+                self.peak = max(self.peak, self.in_flight)
+            return pid
+
+        def waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            if reaped[0]:
+                self.in_flight -= 1
+            return reaped
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+
+
+def _forking(monkeypatch, slots=2, parallel_rows=8):
+    """Files of ``parallel_rows`` rows or more go to children, ``slots`` at a time."""
+    monkeypatch.setattr(cli, "PARALLEL_ROWS", parallel_rows)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: slots)
+    return ForkLog(monkeypatch)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _serial_and_forked(spec, results, tmp_path, monkeypatch, parallel_rows):
+    """Writes the artifacts serially, then forked; returns the fork log."""
+    with monkeypatch.context() as serial:
+        serial.setattr(cli, "_usable_cpus", lambda: 1)
+        write_artifacts(spec, results, tmp_path / "serial")
+    log = _forking(monkeypatch, parallel_rows=parallel_rows)
+    write_artifacts(spec, results, tmp_path / "forked")
+    files = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "forked").iterdir())
+    for file in files:
+        assert ((tmp_path / "forked" / file).read_bytes()
+                == (tmp_path / "serial" / file).read_bytes()), file
+    _assert_no_child_left()
+    return log
+
+
+def test_forked_artifacts_match_the_serial_ones_for_crafted_results(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    spec, results = _crafted_results(3 * 7 + 2)
+    with np.errstate(over="ignore"):
+        log = _serial_and_forked(spec, results, tmp_path, monkeypatch, parallel_rows=8)
+    # the two _mse.csv and two _freqresp.csv files; 7 and 6 weight rows and
+    # the summary stay below the threshold
+    assert log.forks == 4
+
+
+def test_forked_artifacts_match_the_serial_ones_for_the_white_config(tmp_path, monkeypatch):
+    spec = load_experiment_file(resolve_config_path("white"))
+    results = cli.run_experiment_file(spec)
+    # 500-row traces and 512-row frequency responses; 13 weight rows
+    log = _serial_and_forked(spec, results, tmp_path, monkeypatch, parallel_rows=500)
+    assert log.forks == 6
+
+
+@pytest.mark.parametrize("slots", [2, 3])
+def test_children_in_flight_never_exceed_the_usable_cpus(slots, tmp_path, monkeypatch):
+    log = _forking(monkeypatch, slots=slots)
+    spec, results = _crafted_results(20)
+    with np.errstate(over="ignore"):
+        write_artifacts(spec, results, tmp_path)
+    assert (log.forks, log.peak, log.in_flight) == (4, slots, 0)
+    _assert_no_child_left()
+
+
+def test_an_interrupted_parent_reaps_its_children_and_forks_no_more(tmp_path, monkeypatch):
+    log = _forking(monkeypatch)
+
+    def interrupted(text):
+        raise KeyboardInterrupt
+
+    # the summary comes last: both _mse.csv children run, and both
+    # _freqresp.csv files wait for a free slot
+    monkeypatch.setattr(cli, "_csv_text", interrupted)
+    spec, results = _crafted_results(20)
+    with np.errstate(over="ignore"), pytest.raises(KeyboardInterrupt):
+        write_artifacts(spec, results, tmp_path)
+    assert (log.forks, log.in_flight) == (2, 0)
+    assert not (tmp_path / "lms_2_freqresp.csv").exists()
+    _assert_no_child_left()
+    assert len((tmp_path / "lms_2_mse.csv").read_text().splitlines()) == 21
+
+
+def test_a_file_that_cannot_get_a_child_is_written_in_process(tmp_path, monkeypatch):
+    spec, results = _crafted_results(20)
+    attempts = []
+
+    def no_process():
+        attempts.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    with np.errstate(over="ignore"):
+        write_artifacts(spec, results, tmp_path / "serial")
+        monkeypatch.setattr(cli, "PARALLEL_ROWS", 8)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_process)
+        write_artifacts(spec, results, tmp_path / "forked")
+    assert len(attempts) == 4
+    for path in (tmp_path / "serial").iterdir():
+        assert (tmp_path / "forked" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_below_the_threshold_nothing_forks(tmp_path, monkeypatch, capsys):
+    log = ForkLog(monkeypatch)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert main(["run", "white", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert log.forks == 0
+
+
+def test_a_file_a_child_cannot_write_fails_the_run_with_one_line(tmp_path, monkeypatch, capsys):
+    log = _forking(monkeypatch)
+    out = tmp_path / "out"
+    (out / "bndr_lms_mse.csv").mkdir(parents=True)
+    assert main(["run", str(_write_config(tmp_path, _tiny_config(out)))]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"runtime error: cannot write \S+bndr_lms_mse\.csv: .*Is a directory.*\n",
+                        err)
+    # every other _mse.csv and _freqresp.csv child still ran and was reaped
+    assert (log.forks, log.in_flight) == (6, 0)
+    _assert_no_child_left()
+    assert len((out / "r_ap_mse.csv").read_text().splitlines()) == 61
+
+
+def test_forked_writing_raises_no_warning_in_development_mode(tmp_path):
+    # -W error turns a fork, resource or deprecation warning into a failure
+    code = ("import sys; from apbench import cli; "
+            "cli.PARALLEL_ROWS = 100; cli._usable_cpus = lambda: 2; "
+            f"sys.exit(cli.main(['run', 'white', '--out', {str(tmp_path)!r}]))")
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert (proc.returncode, proc.stderr) == (0, "")
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in WHITE_ARTIFACT_SHA256}
     assert digests == WHITE_ARTIFACT_SHA256
