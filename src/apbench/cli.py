@@ -112,13 +112,13 @@ class VariantResult:
 
 
 def _pop_known(obj: dict, context: str, known: dict):
-    """Extract known keys from a JSON object, rejecting everything else."""
+    """Extract known keys from a JSON object (absent or null: the default), rejecting the rest."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{context} must be a JSON object")
     unknown = sorted(set(obj) - set(known))
     if unknown:
         raise ConfigError(f"unknown key(s) in {context}: {', '.join(unknown)}")
-    return {key: obj.get(key, default) for key, default in known.items()}
+    return {key: default if obj.get(key) is None else obj[key] for key, default in known.items()}
 
 
 def _require(value, context: str):
@@ -147,6 +147,12 @@ def _int(value, context: str, default=...):
 
 def _float(value, context: str, default=...):
     return _number(value, context, default, float)
+
+
+def _text(value, context: str) -> str:
+    if not isinstance(_require(value, context), str):
+        raise ConfigError(f"{context} must be a string, got {value!r}")
+    return value
 
 
 def _floats(values, context: str) -> list[float]:
@@ -208,7 +214,7 @@ def _parse_variant(obj, index: int) -> tuple[str, AlgorithmConfig]:
         "mu_mode": None, "projection_order": None, "delta": None,
         "normalization_order": None,
     })
-    name = str(_require(fields["name"], f"{ctx}.name"))
+    name = _text(fields["name"], f"{ctx}.name")
     if not name or any(c not in "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-." for c in name):
         raise ConfigError(f"{ctx}.name must be non-empty and filesystem-safe, got {name!r}")
     kind = _enum(AlgorithmKind, _require(fields["kind"], f"{ctx}.kind"), f"{ctx}.kind")
@@ -263,11 +269,11 @@ def load_experiment_file(path: Path) -> ExperimentFile:
             ensemble_runs=_int(fields["ensemble_runs"], "ensemble_runs"),
             base_seed=_int(fields["base_seed"], "base_seed"),
             variants=variants,
-            output_dir=str(fields["output_dir"]),
+            output_dir=_text(fields["output_dir"], "output_dir"),
             smoothing_window=_int(fields["smoothing_window"], "smoothing_window"),
             tm_slack_db=_float(fields["tm_slack_db"], "tm_slack_db"),
             freq_points=_int(fields["freq_points"], "freq_points"),
-            description=str(fields["description"]),
+            description=_text(fields["description"], "description"),
         )
         # validate every variant's full experiment before any run starts
         for _, algo in spec.variants:

@@ -103,8 +103,10 @@ def compute_tm(trace: MseTrace, window: int = 10, slack_db: float = 0.1,
 
     The result is invariant to adding a constant (in dB) to the whole trace.
     """
-    if slack_db < 0:
+    if not slack_db >= 0:
         raise ValueError(f"slack_db must be >= 0, got {slack_db}")
+    if not onset_drop_db >= 0:
+        raise ValueError(f"onset_drop_db must be >= 0, got {onset_drop_db}")
     if trace.smoothing_window != window:
         trace = smooth(trace, window)
     s = trace.values_db

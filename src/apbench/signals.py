@@ -50,10 +50,6 @@ class TapDelayLine:
         self._taps = np.zeros(length)
 
     @property
-    def length(self) -> int:
-        return self._taps.shape[0]
-
-    @property
     def taps(self) -> np.ndarray:
         """Current contents, newest first (a copy)."""
         return self._taps.copy()
@@ -68,9 +64,6 @@ class TapDelayLine:
         for x in xs:
             self.push(x)
         return self
-
-    def squared_norm(self) -> float:
-        return float(self._taps @ self._taps)
 
     def __len__(self) -> int:
         return self._taps.shape[0]
@@ -121,6 +114,9 @@ def generate_noise(spec: NoiseSpec, count: int) -> np.ndarray:
     """Generate ``count`` samples of the excitation described by ``spec``.
 
     Pure function of (spec, count): equal arguments give bit-identical arrays.
+    AR(1) coloring is the recursion y = w[n] + a*y in Python floats and FIR
+    coloring the first ``count`` samples of the full convolution; both round
+    as scipy.signal.lfilter does, so they give its output bit for bit.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -130,12 +126,13 @@ def generate_noise(spec: NoiseSpec, count: int) -> np.ndarray:
     w = spec.sigma * rng.standard_normal(count)
     if spec.kind is NoiseKind.WHITE:
         return w
-    # imported only for colored noise: loading scipy.signal costs more than a white run
-    from scipy.signal import lfilter
-
-    if spec.kind is NoiseKind.AR1_COLORED:
-        return lfilter([1.0], [1.0, -spec.ar_coefficient], w)
-    return lfilter(list(spec.fir_coefficients), [1.0], w)
+    if spec.kind is NoiseKind.FIR_COLORED:
+        return np.convolve(spec.fir_coefficients, w)[:count]
+    a, y, out = spec.ar_coefficient, 0.0, []
+    for v in w.tolist():
+        y = v + a * y
+        out.append(y)
+    return np.array(out)
 
 
 def input_variance(spec: NoiseSpec) -> float:

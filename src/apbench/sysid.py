@@ -203,9 +203,10 @@ def _lms_loop(mu: float, regressors: np.ndarray, d: np.ndarray, w: np.ndarray,
               errors: np.ndarray, via_lms_step: bool) -> np.ndarray:
     """All T iterations of LMS for a batch; returns the final weights.
 
-    The weights are updated in place through preallocated buffers and each
-    a-priori error is written straight into ``errors[n]``. The operations
-    are lms_update's, so the results are bit-identical to it. The desired
+    One in-place kernel serves one member and a batch: mu*e goes into
+    ``scale`` (0-d for one member, (*B, 1) for a batch), as a scalar operand
+    would be converted to an array on every step. The operations are
+    lms_update's, so the results are bit-identical to it. The desired
     samples are read from the array, not from a list of it: a list costs
     about 32 bytes per sample, which raises the peak memory of a long run.
     """
@@ -215,23 +216,13 @@ def _lms_loop(mu: float, regressors: np.ndarray, d: np.ndarray, w: np.ndarray,
             errors[n] = out.error_e
         return w
     step = np.empty_like(w)
-    if w.ndim == 1:
-        # one member: the error is a scalar, so the scale needs no broadcast;
-        # it is stored in a 0-d array, as a scalar operand would be converted
-        # to an array on every step
-        scale = np.empty(())
-        vecdot, multiply, add = np.vecdot, np.multiply, np.add
-        for n, (x, d_n) in enumerate(zip(regressors, d)):
-            errors[n] = e = d_n - vecdot(x, w)
-            scale[()] = mu * e
-            add(w, multiply(x, scale, out=step), out=w)
-        return w
-    y = np.empty(w.shape[:-1])
-    scale = np.empty(w.shape[:-1] + (1,))
-    for x, d_n, e in zip(regressors, np.moveaxis(d, -1, 0), errors):
-        np.subtract(d_n, np.vecdot(x, w, out=y), out=e)
-        np.multiply(e[..., None], mu, out=scale)
-        np.add(w, np.multiply(x, scale, out=step), out=w)
+    scale = np.empty(()) if w.ndim == 1 else np.empty(w.shape[:-1] + (1,))
+    col = scale if w.ndim == 1 else scale[..., 0]
+    vecdot, multiply, add = np.vecdot, np.multiply, np.add
+    for n, (x, d_n) in enumerate(zip(regressors, np.moveaxis(d, -1, 0))):
+        errors[n] = e = d_n - vecdot(x, w)
+        col[()] = mu * e
+        add(w, multiply(x, scale, out=step), out=w)
     return w
 
 

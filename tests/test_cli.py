@@ -65,6 +65,19 @@ ARTIFACTS = ["lms_mse.csv", "lms_weights.csv", "lms_freqresp.csv",
              "r_ap_mse.csv", "r_ap_weights.csv", "r_ap_freqresp.csv", "summary.csv"]
 
 
+# sha256 of the FIR-colored tiny run's artifacts, taken while scipy.signal.lfilter
+# colored the noise. The _freqresp.csv files are left out, as for the white run.
+FIR_ARTIFACT_SHA256 = {
+    "lms_mse.csv": "99b9d8491bddf827785d5bf0f8f4b2ff3d90dba7af969b6819c8b4853816c524",
+    "lms_weights.csv": "24caee6ecbcf752c66bce2e9dd6d2a1890578a26c12745d272ea58722847a48a",
+    "bndr_lms_mse.csv": "0ba60cade3f45be07b28f2c19ad615f9e506d52d218f3b459167896b6c3bdc1b",
+    "bndr_lms_weights.csv": "fb717ed68bf541e929aebfccaee5fbe25293294dd88eb0b165ec22c3f3971083",
+    "r_ap_mse.csv": "11a468371d8daa693b5efb33d6a56c544f360002f0a8c412111114958018c8d2",
+    "r_ap_weights.csv": "c060f9c0b07417ae89d7dd28efa737393ef01a3522bfa3ef587ba39d056d4383",
+    "summary.csv": "a9faf5e677178fc701d06b933a6529cc43c0711d986ad643f5ba3d2b5277f6cb",
+}
+
+
 class TestDesignCommand:
     def test_output_matches_library_bit_for_bit(self, capsys):
         assert main(["design", "13", "0.4"]) == 0
@@ -167,7 +180,9 @@ class TestRunCommand:
                                           "fir_coefficients": [1.0, 0.5, 0.25]})
         path = _write_config(tmp_path, config)
         assert main(["run", str(path)]) == 0
-        assert (out / "summary.csv").is_file()
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in FIR_ARTIFACT_SHA256}
+        assert digests == FIR_ARTIFACT_SHA256
 
     def test_cross_kind_noise_keys_rejected(self, tmp_path):
         out = tmp_path / "out"
@@ -245,6 +260,10 @@ class TestRunCommand:
         ({"iterations": 50.7}, "iterations"),
         ({"iterations": "50"}, "iterations"),
         ({"ensemble_runs": True}, "ensemble_runs"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"description": ["colored"]}, "description"),
+        ({"algorithms": [{"name": True, "kind": "lms", "filter_length": 7, "mu": 0.05}]},
+         "algorithms[0].name"),
     ])
     def test_numbers_must_be_finite_and_integers_integral(self, tmp_path, capsys, patch, field):
         out = tmp_path / "out"
@@ -252,6 +271,14 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 1
         assert f"{field} must be" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_null_fields_take_their_defaults(self, tmp_path):
+        config = _tiny_config(tmp_path / "out", output_dir=None, description=None,
+                              smoothing_window=None)
+        spec = load_experiment_file(_write_config(tmp_path, config))
+        assert (spec.output_dir, spec.description, spec.smoothing_window) == (".", "", 10)
+        with pytest.raises(ConfigError, match="^missing required field: iterations$"):
+            load_experiment_file(_write_config(tmp_path, {**config, "iterations": None}))
 
     @pytest.mark.parametrize("field, value, message", [
         ("smoothing_window", 0, "smoothing_window must be >= 1"),
@@ -613,12 +640,19 @@ def test_usage_errors_are_validation_failures():
     assert main(["run"]) == 1
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is only needed to color noise; loading it costs more than
-    # a whole white-noise run
-    code = ("import sys; import apbench; from apbench import cli; "
-            "print('scipy.signal' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+def test_import_leaves_scipy_signal_unloaded(tmp_path):
+    # numpy is the only runtime dependency: with scipy blocked, the CLI imports,
+    # both colorings generate and a colored run writes its artifacts
+    out = tmp_path / "out"
+    config = _tiny_config(out, noise={"kind": "ar1", "sigma": 1.0, "ar_coefficient": 0.9})
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from apbench import cli\n"
+            "from apbench.signals import NoiseKind, NoiseSpec, generate_noise\n"
+            "generate_noise(NoiseSpec(NoiseKind.AR1_COLORED, 1.0, ar_coefficient=0.9), 50)\n"
+            "generate_noise(NoiseSpec(NoiseKind.FIR_COLORED, 1.0, fir_coefficients=(1, 2)), 50)\n"
+            "sys.exit(cli.main(['run', sys.argv[1]]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(_write_config(tmp_path, config))],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert (out / "summary.csv").is_file()

@@ -161,6 +161,11 @@ class TestComputeTm:
     def test_rejects_negative_slack(self):
         with pytest.raises(ValueError):
             compute_tm(MseTrace(np.zeros(10)), slack_db=-0.1)
+        ramp = MseTrace(-np.arange(200.0))
+        for name, value in (("slack_db", float("nan")), ("onset_drop_db", float("nan")),
+                            ("onset_drop_db", -1.0)):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+                compute_tm(ramp, **{name: value})
 
 
 class TestMisalignment:

@@ -1,5 +1,6 @@
 """Tests for tap-delay lines, noise generation and FIR design."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -94,6 +95,26 @@ class TestGenerateNoise:
                                      fir_coefficients=b, seed=seed), n)
         ref = np.convolve(w, b)[:n]
         np.testing.assert_allclose(x, ref, atol=1e-14)
+
+    # sha256 prefixes of the sequences that scipy.signal.lfilter colored
+    # before generate_noise stopped using scipy
+    @pytest.mark.parametrize("spec, count, prefix", [
+        (NoiseSpec(NoiseKind.AR1_COLORED, sigma=1.0, ar_coefficient=0.9, seed=42), 2000,
+         "804deeb52e6b6c3c"),
+        (NoiseSpec(NoiseKind.AR1_COLORED, sigma=2.5, ar_coefficient=-0.95, seed=3), 1,
+         "753ce7e784d9cd6b"),
+        (NoiseSpec(NoiseKind.FIR_COLORED, sigma=1.0,
+                   fir_coefficients=tuple(design_highpass_fir(13, 0.4)), seed=9), 5000,
+         "2ae6c3679573a9be"),
+        # fewer samples than FIR taps
+        (NoiseSpec(NoiseKind.FIR_COLORED, sigma=1.0,
+                   fir_coefficients=(0.5, -0.25, 0.125, 1.0, 2.0), seed=5), 3,
+         "9cfcb69676a27ac9"),
+    ])
+    def test_colored_sequences_keep_their_bits(self, spec, count, prefix):
+        x = generate_noise(spec, count)
+        assert x.shape == (count,) and x.dtype == np.float64
+        assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == prefix
 
     def test_rejections(self):
         spec = NoiseSpec(NoiseKind.WHITE, sigma=1.0, seed=0)
