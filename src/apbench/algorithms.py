@@ -232,9 +232,8 @@ def ap_update(w: np.ndarray, X: np.ndarray, d_vec: np.ndarray, mu, delta: float)
     the rows of w_new of flagged members are NaN).
     """
     y, e = _ap_errors(w, X, d_vec)
-    Xt = np.swapaxes(X, -1, -2)
-    eps, singular, inexact = solve_stacked(X @ Xt, delta, e)
-    return _ap_correct(w, Xt, eps, mu), y, e, singular, inexact
+    eps, singular, inexact = solve_stacked(X @ np.swapaxes(X, -1, -2), delta, e)
+    return _ap_correct(w, X, eps, mu), y, e, singular, inexact
 
 
 def _ap_errors(w, X, d_vec):
@@ -243,9 +242,9 @@ def _ap_errors(w, X, d_vec):
     return y, d_vec - y
 
 
-def _ap_correct(w, Xt, eps, mu):
-    """Weights moved along the rows: w + mu * X^T eps, with Xt = X^T."""
-    return w + np.asarray(mu)[..., None] * (Xt @ eps[..., None])[..., 0]
+def _ap_correct(w, X, eps, mu):
+    """Weights moved along the rows: w + mu * X^T eps, as the row vector eps^T X."""
+    return w + np.asarray(mu)[..., None] * (eps[..., None, :] @ X)[..., 0, :]
 
 
 def lms_step(w, x, desired: float, mu: float) -> tuple[np.ndarray, StepOutcome]:

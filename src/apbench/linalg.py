@@ -12,7 +12,11 @@ Factoring (_factor) and solving with a factor (_solve_factored) are
 separate steps. solve_stacked runs one after the other; the adaptation loop
 in sysid factors a block of time steps' Grams at once, their entries being
 arrays over (step, stack), and solves each step with its slice of the
-factor, so both take the same path through the same operations.
+factor, so both take the same path through the same operations. The
+residual bound has one home, _residual_norm: _solve_factored calls it on
+each substitution, and the adaptation loop calls it once on a whole block's
+substitutions, running the block again through _solve_factored if a member
+missed the bound.
 """
 
 from __future__ import annotations
@@ -103,8 +107,13 @@ def _substitute(chol: list, b: list, n: int) -> list:
     return x
 
 
-def _residual_norm(a: list, x: list, b: list, n: int) -> tuple[list, object]:
-    """Residual b - A x and its largest magnitude."""
+def _residual_norm(a: list, x: list, b: list, n: int, held) -> tuple[list, object]:
+    """Residual b - A x and the flags of the members in ``held`` short of the bound.
+
+    The bound is RESIDUAL_RTOL * (1 + max|b|), per member. The entries may
+    be arrays over any shape, such as (step, stack) for a block of time
+    steps: every member and step sees the same scalar operations.
+    """
     r = []
     for i in range(n):
         s = b[i]
@@ -112,7 +121,9 @@ def _residual_norm(a: list, x: list, b: list, n: int) -> tuple[list, object]:
         for k in range(n):
             s = s - row[k] * x[k]
         r.append(s)
-    return r, _largest([abs(v) for v in r])
+    bound = RESIDUAL_RTOL * (1.0 + _largest([abs(v) for v in b]))
+    # a NaN residual (non-finite system) never counts as short of the bound
+    return r, (_largest([abs(v) for v in r]) > bound) & held
 
 
 def _factor(a: list, n: int, delta: float) -> tuple[list, object]:
@@ -139,16 +150,12 @@ def _solve_factored(a: list, chol: list, b: list, n: int, held) -> tuple[list, o
     or skipped) are neither refined nor flagged.
     """
     x = _substitute(chol, b, n)
-    bound = RESIDUAL_RTOL * (1.0 + _largest([abs(v) for v in b]))
-    r, r_norm = _residual_norm(a, x, b, n)
-    # a NaN residual (non-finite system) never counts as short of the bound
-    short = (r_norm > bound) & held
+    r, short = _residual_norm(a, x, b, n, held)
     for _ in range(REFINEMENT_PASSES):
         if not short.any():
             break
         x = [_select(short, xi + ci, xi) for xi, ci in zip(x, _substitute(chol, r, n))]
-        r, r_norm = _residual_norm(a, x, b, n)
-        short = (r_norm > bound) & held
+        r, short = _residual_norm(a, x, b, n, held)
     return x, short
 
 

@@ -17,7 +17,9 @@ results are bit-identical in an ensemble of any size and in run_single.
 The projection kinds factor their Gram matrices one block of time steps at
 a time (PROJECTION_BLOCK): the Grams and their factors depend on the input
 alone, so only the weight-dependent work runs step by step, with the same
-arithmetic as a per-step factorization.
+arithmetic as a per-step factorization. The solver's residual bound is
+checked once per block, after its substitutions; a block in which a member
+missed it runs again from its start with the per-step, refining solve.
 A member that fails (a singular projection step after warm-up, a solve
 short of the residual bound, or divergence) is frozen while the others
 finish, and the lowest failing run is reported. run_single and run_ensemble
@@ -244,8 +246,17 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
     is computed once per block: the Grams X X^T + delta*I, their Cholesky
     factors and singular flags, and ||x||^2 with the auto step sizes. Each
     step then does the work that needs the current weights: the errors, the
-    substitution with its slice of the factor, the residual bound with
-    refinement, and the correction.
+    substitution with its slice of the factor, and the correction.
+
+    A block with no singular flag and no frozen member keeps each step's
+    right-hand side and solution and checks them against the residual bound
+    in one call at the block's end, for the members not keeping their
+    weights. The per-step solve starts with the same substitution and refines
+    only a member short of the bound, so if none missed it, the block did
+    exactly the per-step solve's work. If one did, the block-start weights
+    are restored and the block runs again with the per-step solve:
+    refinement, failure flags and warm-up row sheds, as in a block with a
+    singular flag or after a member froze.
     """
     N, L = algo.projection_order, algo.filter_length
     batch, T = d.shape[:-1], d.shape[-1]
@@ -261,9 +272,8 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
     for start, stop in zip(starts, starts[1:] + [T]):
         k = min(start + 1, N)
         X = rows[start:stop, ..., :k, :]
-        Xt = np.swapaxes(X, -1, -2)
         d_block = d_rows[start:stop, ..., :k]
-        gram = X @ Xt
+        gram = X @ np.swapaxes(X, -1, -2)
         # a[i][j] has shape (steps, *B): one step's entries of a single run are scalars
         a = [[gram[..., i, j] for j in range(k)] for i in range(k)]
         chol, singular = linalg._factor(a, k, delta)
@@ -274,30 +284,49 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
         empty = norm2 == 0.0
         any_empty = empty.reshape(stop - start, -1).any(axis=1).tolist()
         any_singular = singular.reshape(stop - start, -1).any(axis=1).tolist()
-        for i, n in enumerate(range(start, stop)):
-            _, e = _ap_errors(w, X[i], d_block[i])
-            errors[n] = e[..., 0]
-            # the members keeping their weights: no regressor or failed before; None if none
-            idle = empty[i] | (failed_at >= 0) if any_empty[i] or frozen else None
-            eps, short = linalg._solve_factored(
-                [[v[i] for v in row] for row in a], [[v[i] for v in row] for row in chol],
-                list(e.T), k, live[i] if idle is None else live[i] & ~idle)
-            # eps as (*B, k): a transposed copy costs less than np.stack's Python code
-            w_new = _ap_correct(w, Xt[i], np.array(eps).T.copy(), mus[i])
-            if any_singular[i] or short.any():
-                short = np.asarray(short)  # _shed_rows updates it in place
-                # idle members may be flagged singular too; their flag is dropped here
-                stuck = singular[i] if idle is None else singular[i] & ~idle
-                if n < warmup and stuck.any():
-                    stuck = _shed_rows(w, X[i], d_block[i], mus[i], delta, stuck, short, w_new)
-                failed = stuck | short
-                failed_at[failed] = n
-                inexact[short] = True
-                frozen = bool((failed_at >= 0).any())
-                idle = failed if idle is None else idle | failed
-            if idle is not None:
-                w_new = np.where(idle[..., None], w, w_new)
-            w = w_new
+        # deferred: the residual bound waits for the block's end (see above)
+        w_start = w
+        for deferred in (True, False) if not (frozen or any(any_singular)) else (False,):
+            w, rhs, sol = w_start, [], []
+            for i, n in enumerate(range(start, stop)):
+                _, e = _ap_errors(w, X[i], d_block[i])
+                errors[n] = e[..., 0]
+                # the members keeping their weights: no regressor or failed before; None if none
+                idle = empty[i] | (failed_at >= 0) if any_empty[i] or frozen else None
+                chol_i = [[v[i] for v in row] for row in chol]
+                if deferred:
+                    eps = np.array(linalg._substitute(chol_i, list(e.T), k))
+                    rhs.append(e)
+                    sol.append(eps)
+                else:
+                    eps, short = linalg._solve_factored(
+                        [[v[i] for v in row] for row in a], chol_i, list(e.T), k,
+                        live[i] if idle is None else live[i] & ~idle)
+                    eps = np.array(eps)
+                # eps is (k, *B); its transpose is the (*B, k) view _ap_correct takes
+                w_new = _ap_correct(w, X[i], eps.T, mus[i])
+                if not deferred and (any_singular[i] or short.any()):
+                    short = np.asarray(short)  # _shed_rows updates it in place
+                    # idle members may be flagged singular too; their flag is dropped here
+                    stuck = singular[i] if idle is None else singular[i] & ~idle
+                    if n < warmup and stuck.any():
+                        stuck = _shed_rows(w, X[i], d_block[i], mus[i], delta, stuck, short,
+                                           w_new)
+                    failed = stuck | short
+                    failed_at[failed] = n
+                    inexact[short] = True
+                    frozen = bool((failed_at >= 0).any())
+                    idle = failed if idle is None else idle | failed
+                if idle is not None:
+                    w_new = np.where(idle[..., None], w, w_new)
+                w = w_new
+            if deferred:
+                # entries over (step, *B): sol as (k, steps, *B), rhs as (steps, *B, k)
+                _, short = linalg._residual_norm(a, list(np.stack(sol, axis=1)),
+                                                 list(np.moveaxis(np.stack(rhs), -1, 0)), k,
+                                                 live & ~empty)
+                if not short.any():
+                    break
     return w
 
 

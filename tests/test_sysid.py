@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from apbench import sysid
+from apbench import linalg, sysid
 from apbench.algorithms import AlgorithmConfig, AlgorithmKind, MuMode, step_multiplies
 from apbench.metrics import misalignment_db
 from apbench.signals import (NoiseKind, NoiseSpec, design_highpass_fir, generate_noise,
@@ -385,9 +385,16 @@ _BLOCK_CASES = {
     "r_ap2_fails_mid_block": (AlgorithmConfig(AlgorithmKind.R_AP, filter_length=1,
                                               projection_order=2, mu_mode=MuMode.FIXED, mu=1.0,
                                               delta=1e-8), WHITE, 0.01, 4, 14),
+    # N > L: run 0 misses the residual bound at step 7 of a 16-step block (and run 3
+    # at the first step of the last block); refinement reaches it and all four adapt
+    # to the end
+    "r_ap2_recovers_mid_block": (AlgorithmConfig(AlgorithmKind.R_AP, filter_length=1,
+                                                 projection_order=2, mu_mode=MuMode.FIXED,
+                                                 mu=0.5, delta=1e-7), WHITE, 0.01, 4, 1),
 }
 # sha256 of every run_single and run_ensemble outcome (or of the batch as
 # _adapt left it, when the ensemble fails), taken before the block loop
+# (r_ap2_recovers_mid_block: before the per-block residual check)
 _BLOCK_DIGESTS = {
     "bndr_auto":
         "16ec85442083ba1c64b2ab5dc787289c729f062f1eaf1c133be6f2682f3bc661",
@@ -405,6 +412,8 @@ _BLOCK_DIGESTS = {
         "9594a6b90c78cbacd288cb0fd2cd380d76c11ba95fd2d258f5019f8ebc6f9418",
     "r_ap2_fails_mid_block":
         "0cb60a652bcf01327714163174c4e40d04c635868565027d23889f4cce48179c",
+    "r_ap2_recovers_mid_block":
+        "8e3ce4f711a23b7ea011f5b10af34cc6114a098775d6d2d9f8c0820a33d8cb58",
 }
 
 
@@ -471,3 +480,25 @@ def test_projection_blocks_keep_every_bit(name, monkeypatch):
         with pytest.raises(AdaptationError) as err:
             run_ensemble(config)
         assert (err.value.run_index, err.value.iteration) == (0, 3)
+    if name.endswith("recovers_mid_block"):
+        checks, solves = [], []
+        residual_norm, solve_factored = linalg._residual_norm, linalg._solve_factored
+
+        def counted_residual_norm(a, x, b, n, held):
+            r, short = residual_norm(a, x, b, n, held)
+            if np.ndim(held) == 2:  # a block's check: held is (steps, runs)
+                checks.append((len(held), bool(short.any())))
+            return r, short
+
+        def counted_solve_factored(*args):
+            solves.append(args)
+            return solve_factored(*args)
+
+        monkeypatch.setattr(linalg, "_residual_norm", counted_residual_norm)
+        monkeypatch.setattr(linalg, "_solve_factored", counted_solve_factored)
+        run_ensemble(config)  # every member adapts to the end
+        # every block was checked: one warm-up step, three of 16 steps, a last one of 2;
+        # the two found short, and no other block, ran again through the refining solve
+        assert len(checks) == 5
+        assert [steps for steps, short in checks if short] == [sysid.PROJECTION_BLOCK, 2]
+        assert len(solves) == sysid.PROJECTION_BLOCK + 2
