@@ -8,7 +8,9 @@ Commands:
 Config files are strict JSON: unknown keys are rejected and every field is
 validated against the library invariants before any run starts. All variants
 in one file consume identical noise realizations (the per-run seeds derive
-only from base_seed), so their learning curves are directly comparable.
+only from base_seed), so their learning curves are directly comparable: the
+signals are generated once per file, by the first variant, and shared
+read-only by the others.
 Outputs are deterministic: rerunning a config reproduces byte-identical CSV
 files. Every float is written as "%.17g" (the same text as
 format(float(v), ".17g")), and each file is formatted and written in chunks
@@ -38,7 +40,8 @@ from . import selftest as selftest_mod
 from .algorithms import AlgorithmConfig, AlgorithmKind, MuMode, step_multiplies_literal
 from .metrics import TmReport, compute_tm, misalignment_db, smooth
 from .signals import NoiseKind, NoiseSpec, design_highpass_fir, frequency_response
-from .sysid import AdaptationError, EnsembleResult, ExperimentConfig, PlantModel, run_ensemble
+from .sysid import (AdaptationError, EnsembleResult, ExperimentConfig, PlantModel,
+                    _shared_signals, run_ensemble)
 
 __all__ = [
     "ConfigError",
@@ -298,24 +301,26 @@ def resolve_config_path(name: str) -> Path:
 
 
 def run_experiment_file(spec: ExperimentFile, threads: int = 1) -> list[VariantResult]:
+    """Run every variant of ``spec``; their signals are generated once and shared."""
     results = []
-    for name, algo in spec.variants:
-        ensemble = run_ensemble(spec.experiment_config(algo), max_workers=threads)
-        window = min(spec.smoothing_window, spec.iterations)
-        smoothed = smooth(ensemble.trace, window)
-        tm = compute_tm(smoothed, window=window, slack_db=spec.tm_slack_db)
-        mis = misalignment_db(ensemble.final_weights_mean, spec.plant.h)
-        results.append(VariantResult(
-            name=name,
-            algorithm=algo,
-            ensemble=ensemble,
-            smoothed_db=smoothed.values_db,
-            tm=tm,
-            misalignment_db=mis,
-            total_multiplies_corrected=ensemble.runs[0].total_multiplies,
-            total_multiplies_literal=spec.iterations * step_multiplies_literal(
-                algo.kind, algo.filter_length, algo.projection_order),
-        ))
+    with _shared_signals():
+        for name, algo in spec.variants:
+            ensemble = run_ensemble(spec.experiment_config(algo), max_workers=threads)
+            window = min(spec.smoothing_window, spec.iterations)
+            smoothed = smooth(ensemble.trace, window)
+            tm = compute_tm(smoothed, window=window, slack_db=spec.tm_slack_db)
+            mis = misalignment_db(ensemble.final_weights_mean, spec.plant.h)
+            results.append(VariantResult(
+                name=name,
+                algorithm=algo,
+                ensemble=ensemble,
+                smoothed_db=smoothed.values_db,
+                tm=tm,
+                misalignment_db=mis,
+                total_multiplies_corrected=ensemble.runs[0].total_multiplies,
+                total_multiplies_literal=spec.iterations * step_multiplies_literal(
+                    algo.kind, algo.filter_length, algo.projection_order),
+            ))
     return results
 
 

@@ -18,18 +18,24 @@ The projection kinds factor their Gram matrices one block of time steps at
 a time (PROJECTION_BLOCK): the Grams and their factors depend on the input
 alone, so only the weight-dependent work runs step by step, with the same
 arithmetic as a per-step factorization. The solver's residual bound is
-checked once per block, after its substitutions; a block in which a member
-missed it runs again from its start with the per-step, refining solve.
+checked once per block, on buffers of the block's right-hand sides and
+solutions filled step by step; a block in which a member missed it runs
+again from its start with the per-step, refining solve.
 A member that fails (a singular projection step after warm-up, a solve
 short of the residual bound, or divergence) is frozen while the others
-finish, and the lowest failing run is reported. run_single and run_ensemble
-document how a wrapper installed at this module's run_single or lms_step
-sees every run and every LMS step.
+finish, and the lowest failing run is reported. Inside a _shared_signals
+scope (cli.run_experiment_file opens one around an experiment file's
+variants) the signals of an ensemble are generated once and shared,
+read-only, by the configs that differ only in their algorithm. run_single
+and run_ensemble document how a wrapper installed at this module's
+run_single or lms_step sees every run and every LMS step.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,6 +70,9 @@ MEASUREMENT_STREAM_SALT = 0x9E3779B97F4A7C15
 # regressors (tiny ||x||^2) cannot push the projection update outside its
 # stability range mu in (0, 2)
 AUTO_MU_CAP = 1.0
+
+# the signals built in the open _shared_signals scope, by key; None outside one
+_SHARED_SIGNALS: ContextVar[dict | None] = ContextVar("shared_signals", default=None)
 
 # projection steps whose Gram matrices are built and factored together: long
 # enough to spread the per-block numpy calls, short enough that a block's
@@ -167,6 +176,45 @@ def _member_signals(config: ExperimentConfig, run_index: int) -> tuple[np.ndarra
     return x, d
 
 
+@contextmanager
+def _shared_signals():
+    """A scope in which every ensemble's signals are built once and shared.
+
+    Inside it, _signals returns the arrays it built before for an equal key,
+    read-only, so that configs differing only in their algorithm adapt on the
+    same arrays. Leaving the scope, also by an exception, drops them. A scope
+    opened inside another starts empty and restores the outer one on leaving.
+    """
+    token = _SHARED_SIGNALS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_SIGNALS.reset(token)
+
+
+def _signals(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs x and desired responses d of the runs, (*B, T) each, B = () for one run.
+
+    In a _shared_signals scope the key is everything the signals depend on:
+    the noise spec (its repr tells -0.0 from 0.0, which equality does not),
+    the plant taps' bytes, the measurement noise, the length, the base seed
+    and the run indices.
+    """
+    shared = _SHARED_SIGNALS.get()
+    if shared is not None:
+        key = (repr(config.noise), config.plant.h.tobytes(), config.plant.measurement_noise_sigma,
+               config.iterations, config.base_seed, run_indices)
+        if key in shared:
+            return shared[key]
+    signals = [_member_signals(config, r) for r in run_indices]
+    x, d = signals[0] if len(signals) == 1 else (np.stack(s) for s in zip(*signals))
+    if shared is not None:
+        # an in-place edit by one variant would otherwise reach the next
+        x.flags.writeable = d.flags.writeable = False
+        shared[key] = x, d
+    return x, d
+
+
 def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray,
            via_lms_step: bool = False):
     """The adaptation loop: every member of a batch, one time step at a time.
@@ -244,19 +292,22 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
     The time steps run in blocks with one row count k: one step each for the
     first N-1, then up to PROJECTION_BLOCK. What depends on the input alone
     is computed once per block: the Grams X X^T + delta*I, their Cholesky
-    factors and singular flags, and ||x||^2 with the auto step sizes. Each
-    step then does the work that needs the current weights: the errors, the
-    substitution with its slice of the factor, and the correction.
+    factors and singular flags, the factor's entries split into one list per
+    step, and ||x||^2 with the auto step sizes (the fixed step sizes once per
+    loop). Each step then does the work that needs the current weights: the
+    errors, the substitution with its step's factor entries, and the
+    correction.
 
-    A block with no singular flag and no frozen member keeps each step's
-    right-hand side and solution and checks them against the residual bound
-    in one call at the block's end, for the members not keeping their
-    weights. The per-step solve starts with the same substitution and refines
-    only a member short of the bound, so if none missed it, the block did
-    exactly the per-step solve's work. If one did, the block-start weights
-    are restored and the block runs again with the per-step solve:
-    refinement, failure flags and warm-up row sheds, as in a block with a
-    singular flag or after a member froze.
+    A block with no singular flag and no frozen member writes each step's
+    right-hand side and solution into (k, steps, *B) buffers, allocated once
+    per block, whose rows are the entry arrays of the residual check: one
+    call at the block's end checks them against the bound, for the members
+    not keeping their weights. The per-step solve starts with the same
+    substitution and refines only a member short of the bound, so if none
+    missed it, the block did exactly the per-step solve's work. If one did,
+    the block-start weights are restored and the block runs again with the
+    per-step solve: refinement, failure flags and warm-up row sheds, as in a
+    block with a singular flag or after a member froze.
     """
     N, L = algo.projection_order, algo.filter_length
     batch, T = d.shape[:-1], d.shape[-1]
@@ -269,38 +320,45 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
     w = np.zeros(batch + (L,))
     frozen = False  # whether a member has failed, and keeps its weights from then on
     starts = list(range(min(N - 1, T))) + list(range(N - 1, T, PROJECTION_BLOCK))
+    fixed_mus = [algo.mu] * PROJECTION_BLOCK
     for start, stop in zip(starts, starts[1:] + [T]):
-        k = min(start + 1, N)
+        k, steps = min(start + 1, N), stop - start
         X = rows[start:stop, ..., :k, :]
         d_block = d_rows[start:stop, ..., :k]
         gram = X @ np.swapaxes(X, -1, -2)
         # a[i][j] has shape (steps, *B): one step's entries of a single run are scalars
         a = [[gram[..., i, j] for j in range(k)] for i in range(k)]
         chol, singular = linalg._factor(a, k, delta)
+        chol_steps = _by_step(chol)
         live = ~singular
         norm2 = np.vecdot(X[..., 0, :], X[..., 0, :])
         mus = list(np.minimum(1.0 / (algo.normalization_order * norm2), AUTO_MU_CAP)) if auto \
-            else [algo.mu] * (stop - start)
+            else fixed_mus
         empty = norm2 == 0.0
-        any_empty = empty.reshape(stop - start, -1).any(axis=1).tolist()
-        any_singular = singular.reshape(stop - start, -1).any(axis=1).tolist()
+        any_empty = empty.reshape(steps, -1).any(axis=1).tolist()
+        any_singular = singular.reshape(steps, -1).any(axis=1).tolist()
         # deferred: the residual bound waits for the block's end (see above)
         w_start = w
         for deferred in (True, False) if not (frozen or any(any_singular)) else (False,):
-            w, rhs, sol = w_start, [], []
+            w = w_start
+            if deferred:
+                # entries over (step, *B), as the block check takes them
+                rhs = np.empty((k, steps) + batch)
+                sol = np.empty_like(rhs)
+            else:
+                a_steps = _by_step(a)
             for i, n in enumerate(range(start, stop)):
                 _, e = _ap_errors(w, X[i], d_block[i])
                 errors[n] = e[..., 0]
                 # the members keeping their weights: no regressor or failed before; None if none
                 idle = empty[i] | (failed_at >= 0) if any_empty[i] or frozen else None
-                chol_i = [[v[i] for v in row] for row in chol]
                 if deferred:
-                    eps = np.array(linalg._substitute(chol_i, list(e.T), k))
-                    rhs.append(e)
-                    sol.append(eps)
+                    rhs[:, i] = e.T
+                    eps = sol[:, i]
+                    eps[...] = linalg._substitute(chol_steps[i], list(e.T), k)
                 else:
                     eps, short = linalg._solve_factored(
-                        [[v[i] for v in row] for row in a], chol_i, list(e.T), k,
+                        a_steps[i], chol_steps[i], list(e.T), k,
                         live[i] if idle is None else live[i] & ~idle)
                     eps = np.array(eps)
                 # eps is (k, *B); its transpose is the (*B, k) view _ap_correct takes
@@ -321,13 +379,19 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
                     w_new = np.where(idle[..., None], w, w_new)
                 w = w_new
             if deferred:
-                # entries over (step, *B): sol as (k, steps, *B), rhs as (steps, *B, k)
-                _, short = linalg._residual_norm(a, list(np.stack(sol, axis=1)),
-                                                 list(np.moveaxis(np.stack(rhs), -1, 0)), k,
-                                                 live & ~empty)
+                _, short = linalg._residual_norm(a, list(sol), list(rhs), k, live & ~empty)
                 if not short.any():
                     break
     return w
+
+
+def _by_step(entries: list) -> list:
+    """Entry lists of arrays over (step, *B) as one entry list per step.
+
+    ``_by_step(entries)[i][r][c]`` is ``entries[r][c][i]``; rows may differ
+    in length, as a factor's lower triangle does.
+    """
+    return list(zip(*(zip(*map(list, row)) for row in entries)))
 
 
 def _shed_rows(w, X, d_vec, mu, delta, stuck, short, w_new) -> np.ndarray:
@@ -366,8 +430,7 @@ def _run(config: ExperimentConfig, run_indices: range,
     """
     algo = config.algorithm
     L, T = algo.filter_length, config.iterations
-    signals = [_member_signals(config, r) for r in run_indices]
-    x, d = signals[0] if len(signals) == 1 else (np.stack(s) for s in zip(*signals))
+    x, d = _signals(config, run_indices)
     delta = algo.resolved_delta(input_variance(config.noise))
     errors, w, failed_at, inexact = _adapt(algo, delta, x, d, via_lms_step)
 

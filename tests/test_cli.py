@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -9,13 +10,14 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import apbench.linalg
 import apbench.selftest
-from apbench import cli
+from apbench import cli, sysid
 from apbench.algorithms import (AlgorithmConfig, AlgorithmKind, step_multiplies,
                                 step_multiplies_literal)
 from apbench.cli import (
@@ -29,7 +31,7 @@ from apbench.cli import (
 )
 from apbench.metrics import MseTrace, TmReport
 from apbench.signals import NoiseKind, NoiseSpec, design_highpass_fir, frequency_response
-from apbench.sysid import EnsembleResult, PlantModel, RunResult
+from apbench.sysid import AdaptationError, EnsembleResult, PlantModel, RunResult, run_ensemble
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(apbench.linalg.__file__)))
 
@@ -446,6 +448,58 @@ def test_bundled_white_artifacts_keep_their_bytes(tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in WHITE_ARTIFACT_SHA256}
     assert digests == WHITE_ARTIFACT_SHA256
+
+
+@pytest.mark.parametrize("meas_sigma", [0.0, 0.01])
+def test_a_file_generates_its_signals_once_for_all_variants(meas_sigma, tmp_path, monkeypatch):
+    config = _tiny_config(tmp_path / "out")
+    config["plant"]["measurement_noise_sigma"] = meas_sigma
+    spec = load_experiment_file(_write_config(tmp_path, config))
+    alone = [run_ensemble(spec.experiment_config(algo)) for _, algo in spec.variants]
+    calls = []
+    generate_noise = sysid.generate_noise
+    monkeypatch.setattr(sysid, "generate_noise", lambda *args: calls.append(args) or
+                        generate_noise(*args))
+    results = cli.run_experiment_file(spec)
+    # one input stream per run, and one measurement stream per run if there is noise
+    assert len(calls) == spec.ensemble_runs * (2 if meas_sigma else 1)
+    for res, ensemble in zip(results, alone):
+        assert res.ensemble.trace.values_db.tobytes() == ensemble.trace.values_db.tobytes()
+        for a, b in zip(res.ensemble.runs, ensemble.runs):
+            assert a.mse_trace.tobytes() == b.mse_trace.tobytes()
+            assert a.final_weights.tobytes() == b.final_weights.tobytes()
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_a_files_signals_are_dropped_when_it_ends(fails, tmp_path, monkeypatch):
+    config = _tiny_config(tmp_path / "out")
+    if fails:
+        # the second variant's order-2 Gram of scalar regressors is singular mid-run
+        config["plant"] = {"coefficients": [1.0]}
+        config["algorithms"] = [
+            {"name": "lms", "kind": "lms", "filter_length": 1, "mu": 0.05},
+            {"name": "bndr_lms", "kind": "bndr_lms", "filter_length": 1,
+             "mu_mode": "fixed", "mu": 1.0}]
+    spec = load_experiment_file(_write_config(tmp_path, config))
+    built = []
+    signals = sysid._signals
+
+    def recorded(*args):
+        x, d = signals(*args)
+        built.extend(weakref.ref(a) for a in (x, d))
+        return x, d
+
+    monkeypatch.setattr(sysid, "_signals", recorded)
+    try:
+        cli.run_experiment_file(spec)
+    except AdaptationError:
+        assert fails
+    else:
+        assert not fails
+    assert len(built) == 2 * len(spec.variants)
+    assert sysid._SHARED_SIGNALS.get() is None
+    gc.collect()
+    assert all(ref() is None for ref in built)
 
 
 class ForkLog:

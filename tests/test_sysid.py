@@ -2,6 +2,7 @@
 
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -330,6 +331,76 @@ class TestRunEnsemble:
         algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=4, mu=0.05)
         with pytest.raises(ValueError, match="max_workers"):
             run_ensemble(_config(algo, [1.0, 0.3], iterations=50, runs=3), max_workers=0)
+
+
+_AR1 = NoiseSpec(NoiseKind.AR1_COLORED, sigma=1.0, ar_coefficient=0.5)
+_FIR = NoiseSpec(NoiseKind.FIR_COLORED, sigma=1.0, fir_coefficients=(1.0, 0.5))
+
+
+def _signal_config(noise=_AR1, h=(1.0, -0.5, 0.25), meas_sigma=0.01, iterations=40, runs=3,
+                   seed=11, projection_order=2):
+    algo = AlgorithmConfig(AlgorithmKind.R_AP, filter_length=3,
+                           projection_order=projection_order)
+    return _config(algo, list(h), iterations=iterations, runs=runs, seed=seed,
+                   meas_sigma=meas_sigma, noise=noise)
+
+
+def _signal_bytes(config):
+    return [(a.shape, a.tobytes())
+            for a in sysid._signals(config, range(config.ensemble_runs))]
+
+
+class TestSharedSignals:
+    # each differs from its base (the first config of its list) in one field
+    # that the signals depend on
+    _KEYED = {
+        "ar1": [_signal_config(), _signal_config(seed=12), _signal_config(iterations=41),
+                _signal_config(runs=4), _signal_config(noise=replace(_AR1, kind=NoiseKind.WHITE)),
+                _signal_config(noise=replace(_AR1, sigma=2.0)),
+                _signal_config(noise=replace(_AR1, ar_coefficient=-0.5)),
+                _signal_config(h=(1.0, -0.5, 0.3)), _signal_config(meas_sigma=0.02),
+                _signal_config(meas_sigma=0.0)],
+        "fir": [_signal_config(noise=_FIR),
+                _signal_config(noise=replace(_FIR, fir_coefficients=(1.0, 0.25)))],
+    }
+
+    def test_a_change_in_any_signal_field_builds_new_signals(self):
+        configs = [c for group in self._KEYED.values() for c in group]
+        unshared = [_signal_bytes(c) for c in configs]
+        with sysid._shared_signals():
+            shared = [_signal_bytes(c) for c in configs]
+        for config, expected, got in zip(configs, unshared, shared):
+            assert got == expected, config
+
+    def test_configs_differing_only_in_the_algorithm_share_the_arrays(self):
+        base, other = _signal_config(), _signal_config(projection_order=3)
+        with sysid._shared_signals():
+            x, d = sysid._signals(base, range(3))
+            assert all(a is b for a, b in zip(sysid._signals(other, range(3)), (x, d)))
+            # a single run has its own key
+            x0, _ = sysid._signals(other, range(0, 1))
+            assert x0.shape == (base.iterations,) and np.array_equal(x0, x[0])
+
+    @pytest.mark.parametrize("runs", [range(1), range(3)], ids=["one_run", "three_runs"])
+    def test_shared_arrays_are_read_only(self, runs):
+        config = _signal_config()
+        with sysid._shared_signals():
+            for array in sysid._signals(config, runs):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[..., 0] += 1.0
+        # outside a scope the caller owns fresh, writable arrays, as before
+        assert all(a.flags.writeable for a in sysid._signals(config, runs))
+
+    def test_the_scope_is_dropped_on_leaving_it_also_by_an_exception(self):
+        assert sysid._SHARED_SIGNALS.get() is None
+        with pytest.raises(KeyError):
+            with sysid._shared_signals():
+                with sysid._shared_signals():  # an inner scope starts empty
+                    assert sysid._SHARED_SIGNALS.get() == {}
+                    sysid._signals(_signal_config(), range(3))
+                assert sysid._SHARED_SIGNALS.get() == {}
+                raise KeyError
+        assert sysid._SHARED_SIGNALS.get() is None
 
 
 class TestExperimentConfig:
