@@ -5,21 +5,11 @@ Commands:
   design <num_taps> <cutoff_fn>                 print high-pass coefficients
   selftest                                      run built-in property suites
 
-Config files are strict JSON: unknown keys are rejected and every field is
-validated against the library invariants before any run starts. All variants
-in one file consume identical noise realizations (the per-run seeds derive
-only from base_seed), so their learning curves are directly comparable: the
-signals are generated once per file, by the first variant, and shared
-read-only by the others.
-Outputs are deterministic: rerunning a config reproduces byte-identical CSV
-files. Every float is written as "%.17g" (the same text as
-format(float(v), ".17g")), and each file is formatted and written in chunks
-of CHUNK_ROWS rows. Where os.fork exists and more than one CPU is usable,
-each file of at least PARALLEL_ROWS rows (a long run's _mse.csv) is written
-by a forked child process, at most one child per usable CPU, while this
-process writes the small files; the frequency responses are evaluated here
-before the first fork. A child inherits the columns through fork and calls
-the same formatter, so the bytes do not depend on which process wrote them.
+Experiment files are strict JSON: unknown keys are rejected and every field
+is validated before any run starts. All variants of one file adapt on the
+same noise realizations (the per-run seeds derive only from base_seed), so
+their learning curves are directly comparable. Rerunning a file reproduces
+byte-identical CSV files, whatever --threads is.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 """
@@ -456,6 +446,11 @@ def _write_in_child(job, read_end: int, write_end: int) -> None:
 
 
 def write_artifacts(spec: ExperimentFile, results: list[VariantResult], out_dir: Path) -> None:
+    """Write the variants' CSV files and summary.csv into ``out_dir``.
+
+    Every file goes through _write_columns, in this process or in a child
+    that _Writer forked, so its bytes depend on the results alone.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     h = spec.plant.h

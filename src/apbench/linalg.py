@@ -11,12 +11,12 @@ lower triangle of the input matrix is read by the factorization.
 Factoring (_factor) and solving with a factor (_solve_factored) are
 separate steps. solve_stacked runs one after the other; the adaptation loop
 in sysid factors a block of time steps' Grams at once, their entries being
-arrays over (step, stack), and solves each step with its slice of the
+arrays over (step, stack), and substitutes each step with its slice of the
 factor, so both take the same path through the same operations. The
 residual bound has one home, _residual_norm: _solve_factored calls it on
 each substitution, and the adaptation loop calls it once on a whole block's
-substitutions, running the block again through _solve_factored if a member
-missed the bound.
+substitutions, running the block again step by step through solve_stacked
+(algorithms.ap_update) if a member missed the bound.
 """
 
 from __future__ import annotations

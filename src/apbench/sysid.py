@@ -16,11 +16,11 @@ the same floating-point operations whatever else is in the batch, so its
 results are bit-identical in an ensemble of any size and in run_single.
 The projection kinds factor their Gram matrices one block of time steps at
 a time (PROJECTION_BLOCK): the Grams and their factors depend on the input
-alone, so only the weight-dependent work runs step by step, with the same
-arithmetic as a per-step factorization. The solver's residual bound is
-checked once per block, on buffers of the block's right-hand sides and
-solutions filled step by step; a block in which a member missed it runs
-again from its start with the per-step, refining solve.
+alone, so only the weight-dependent work runs step by step, and the
+solver's residual bound is checked once, at the block's end. Any other
+block (a singular Gram, a failed member, or a member short of the bound)
+runs step by step through ap_update, the library's projection step, whose
+arithmetic the block path repeats.
 A member that fails (a singular projection step after warm-up, a solve
 short of the residual bound, or divergence) is frozen while the others
 finish, and the lowest failing run is reported. Inside a _shared_signals
@@ -290,24 +290,17 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
     latter also in ``inexact``) and keeps its weights from then on.
 
     The time steps run in blocks with one row count k: one step each for the
-    first N-1, then up to PROJECTION_BLOCK. What depends on the input alone
-    is computed once per block: the Grams X X^T + delta*I, their Cholesky
-    factors and singular flags, the factor's entries split into one list per
-    step, and ||x||^2 with the auto step sizes (the fixed step sizes once per
-    loop). Each step then does the work that needs the current weights: the
-    errors, the substitution with its step's factor entries, and the
-    correction.
-
-    A block with no singular flag and no frozen member writes each step's
-    right-hand side and solution into (k, steps, *B) buffers, allocated once
-    per block, whose rows are the entry arrays of the residual check: one
-    call at the block's end checks them against the bound, for the members
-    not keeping their weights. The per-step solve starts with the same
-    substitution and refines only a member short of the bound, so if none
-    missed it, the block did exactly the per-step solve's work. If one did,
-    the block-start weights are restored and the block runs again with the
-    per-step solve: refinement, failure flags and warm-up row sheds, as in a
-    block with a singular flag or after a member froze.
+    first N-1, then up to PROJECTION_BLOCK. The Grams X X^T + delta*I, their
+    Cholesky factors and singular flags, and ||x||^2 with the auto step
+    sizes are computed once per block (the fixed step sizes once per loop).
+    If no Gram is singular and no member has failed, each step computes its
+    errors, substitutes with its step's factor entries and corrects the
+    weights, writing the right-hand sides and solutions into (k, steps, *B)
+    buffers: one residual check at the block's end covers them all. Without
+    a member short of the bound, that is ap_update's work step by step. Any
+    other block, and a block found short, runs from its start weights with
+    ap_update per step, which refines toward the bound and flags singular
+    and short members; singular members shed warm-up rows (_shed_rows).
     """
     N, L = algo.projection_order, algo.filter_length
     batch, T = d.shape[:-1], d.shape[-1]
@@ -318,7 +311,6 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
     auto = algo.mu_mode is MuMode.AUTO_NORMALIZED
     warmup = N + L - 2  # rows are not fully populated before this
     w = np.zeros(batch + (L,))
-    frozen = False  # whether a member has failed, and keeps its weights from then on
     starts = list(range(min(N - 1, T))) + list(range(N - 1, T, PROJECTION_BLOCK))
     fixed_mus = [algo.mu] * PROJECTION_BLOCK
     for start, stop in zip(starts, starts[1:] + [T]):
@@ -329,59 +321,42 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
         # a[i][j] has shape (steps, *B): one step's entries of a single run are scalars
         a = [[gram[..., i, j] for j in range(k)] for i in range(k)]
         chol, singular = linalg._factor(a, k, delta)
-        chol_steps = _by_step(chol)
-        live = ~singular
         norm2 = np.vecdot(X[..., 0, :], X[..., 0, :])
         mus = list(np.minimum(1.0 / (algo.normalization_order * norm2), AUTO_MU_CAP)) if auto \
             else fixed_mus
         empty = norm2 == 0.0
-        any_empty = empty.reshape(steps, -1).any(axis=1).tolist()
-        any_singular = singular.reshape(steps, -1).any(axis=1).tolist()
-        # deferred: the residual bound waits for the block's end (see above)
         w_start = w
-        for deferred in (True, False) if not (frozen or any(any_singular)) else (False,):
-            w = w_start
-            if deferred:
-                # entries over (step, *B), as the block check takes them
-                rhs = np.empty((k, steps) + batch)
-                sol = np.empty_like(rhs)
-            else:
-                a_steps = _by_step(a)
+        if not (singular.any() or (failed_at >= 0).any()):
+            chol_steps = _by_step(chol)
+            any_empty = empty.reshape(steps, -1).any(axis=1).tolist()
+            # entries over (step, *B), as the block check takes them
+            rhs = np.empty((k, steps) + batch)
+            sol = np.empty_like(rhs)
             for i, n in enumerate(range(start, stop)):
                 _, e = _ap_errors(w, X[i], d_block[i])
                 errors[n] = e[..., 0]
-                # the members keeping their weights: no regressor or failed before; None if none
-                idle = empty[i] | (failed_at >= 0) if any_empty[i] or frozen else None
-                if deferred:
-                    rhs[:, i] = e.T
-                    eps = sol[:, i]
-                    eps[...] = linalg._substitute(chol_steps[i], list(e.T), k)
-                else:
-                    eps, short = linalg._solve_factored(
-                        a_steps[i], chol_steps[i], list(e.T), k,
-                        live[i] if idle is None else live[i] & ~idle)
-                    eps = np.array(eps)
+                rhs[:, i] = e.T
+                eps = sol[:, i]
+                eps[...] = linalg._substitute(chol_steps[i], list(e.T), k)
                 # eps is (k, *B); its transpose is the (*B, k) view _ap_correct takes
                 w_new = _ap_correct(w, X[i], eps.T, mus[i])
-                if not deferred and (any_singular[i] or short.any()):
-                    short = np.asarray(short)  # _shed_rows updates it in place
-                    # idle members may be flagged singular too; their flag is dropped here
-                    stuck = singular[i] if idle is None else singular[i] & ~idle
-                    if n < warmup and stuck.any():
-                        stuck = _shed_rows(w, X[i], d_block[i], mus[i], delta, stuck, short,
-                                           w_new)
-                    failed = stuck | short
-                    failed_at[failed] = n
-                    inexact[short] = True
-                    frozen = bool((failed_at >= 0).any())
-                    idle = failed if idle is None else idle | failed
-                if idle is not None:
-                    w_new = np.where(idle[..., None], w, w_new)
-                w = w_new
-            if deferred:
-                _, short = linalg._residual_norm(a, list(sol), list(rhs), k, live & ~empty)
-                if not short.any():
-                    break
+                w = np.where(empty[i][..., None], w, w_new) if any_empty[i] else w_new
+            if not linalg._residual_norm(a, list(sol), list(rhs), k, ~empty)[1].any():
+                continue
+        w = w_start
+        for i, n in enumerate(range(start, stop)):
+            w_new, _, e, stuck, short = ap_update(w, X[i], d_block[i], mus[i], delta)
+            errors[n] = e[..., 0]
+            # the members keeping their weights: no regressor, or failed before
+            idle = empty[i] | (failed_at >= 0)
+            stuck &= ~idle
+            short = np.asarray(short & ~idle)  # _shed_rows updates it in place
+            if n < warmup and stuck.any():
+                stuck = _shed_rows(w, X[i], d_block[i], mus[i], delta, stuck, short, w_new)
+            failed = stuck | short
+            failed_at[failed] = n
+            inexact[short] = True
+            w = np.where((idle | failed)[..., None], w, w_new)
     return w
 
 
@@ -420,8 +395,11 @@ def _shed_rows(w, X, d_vec, mu, delta, stuck, short, w_new) -> np.ndarray:
 
 
 def _run(config: ExperimentConfig, run_indices: range,
-         via_lms_step: bool = False) -> tuple[RunResult, ...]:
+         via_lms_step: bool = False) -> tuple[np.ndarray, tuple[RunResult, ...]]:
     """Adapt the given runs together; a single run is adapted unbatched.
+
+    Returns the squared errors (R, T), whose rows are the runs' mse_trace,
+    and the runs' results.
 
     Raises AdaptationError for the lowest failing run index, at its first
     failing iteration: a singular projection step after warm-up, a solve
@@ -454,8 +432,8 @@ def _run(config: ExperimentConfig, run_indices: range,
 
     mse = errors * errors
     total = T * step_multiplies(algo.kind, L, algo.projection_order)
-    return tuple(RunResult(mse_trace=mse[m], final_weights=w[m], total_multiplies=total)
-                 for m in range(len(run_indices)))
+    return mse, tuple(RunResult(mse_trace=mse[m], final_weights=w[m], total_multiplies=total)
+                      for m in range(len(run_indices)))
 
 
 def run_single(config: ExperimentConfig, run_index: int) -> RunResult:
@@ -466,7 +444,7 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunResult:
     Its LMS iterations call the public lms_step, looked up at this module's
     attribute, so a wrapper installed there (a tracer) sees every step.
     """
-    return _run(config, range(run_index, run_index + 1), via_lms_step=True)[0]
+    return _run(config, range(run_index, run_index + 1), via_lms_step=True)[1][0]
 
 
 _library_run_single = run_single
@@ -486,8 +464,9 @@ def run_ensemble(config: ExperimentConfig, max_workers: int = 1) -> EnsembleResu
     indices = range(config.ensemble_runs)
     if run_single is not _library_run_single:
         runs = tuple(run_single(config, r) for r in indices)
+        mse = np.stack([r.mse_trace for r in runs])
     else:
-        runs = _run(config, indices)
-    mean_e2 = np.mean(np.stack([r.mse_trace for r in runs]), axis=0)
+        mse, runs = _run(config, indices)
+    mean_e2 = np.mean(mse, axis=0)
     values_db = 10.0 * np.log10(np.maximum(mean_e2, MSE_FLOOR))
     return EnsembleResult(trace=MseTrace(values_db, smoothing_window=1), runs=runs)

@@ -98,6 +98,19 @@ class TestDesignCommand:
         assert main(["design", "13", "1.5"]) == 1
 
 
+def test_help_states_the_user_contract_not_the_writer(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    for phrase in ("run <config.json>", "design <num_taps>", "selftest", "strict JSON",
+                   "same noise realizations", "byte-identical",
+                   "Exit codes: 0 success, 1 validation failure, 2 runtime failure."):
+        assert phrase in text, phrase
+    for internal in ("CHUNK_ROWS", "PARALLEL_ROWS", "fork"):
+        assert internal not in text, internal
+
+
 class TestRunCommand:
     def test_artifacts_and_summary(self, tmp_path):
         out = tmp_path / "out"

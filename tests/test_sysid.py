@@ -462,10 +462,17 @@ _BLOCK_CASES = {
     "r_ap2_recovers_mid_block": (AlgorithmConfig(AlgorithmKind.R_AP, filter_length=1,
                                                  projection_order=2, mu_mode=MuMode.FIXED,
                                                  mu=0.5, delta=1e-7), WHITE, 0.01, 4, 1),
+    # L = 64, where the Gram sums depend on the matmul's shape: the per-step Grams
+    # (runs, k, L) of the refining solve must equal the block's (steps, runs, k, L)
+    "r_ap6_delta0_l64_fir_leading_zero": (
+        AlgorithmConfig(AlgorithmKind.R_AP, filter_length=64, projection_order=6, delta=0.0),
+        NoiseSpec(NoiseKind.FIR_COLORED, sigma=1.0, fir_coefficients=[0.0, 1.0, 0.5]), 0.0, 100,
+        15, design_highpass_fir(63, 0.4)),
 }
 # sha256 of every run_single and run_ensemble outcome (or of the batch as
 # _adapt left it, when the ensemble fails), taken before the block loop
-# (r_ap2_recovers_mid_block: before the per-block residual check)
+# (r_ap2_recovers_mid_block: before the per-block residual check;
+# r_ap6_delta0_l64_fir_leading_zero: before the per-step blocks called ap_update)
 _BLOCK_DIGESTS = {
     "bndr_auto":
         "16ec85442083ba1c64b2ab5dc787289c729f062f1eaf1c133be6f2682f3bc661",
@@ -485,13 +492,15 @@ _BLOCK_DIGESTS = {
         "0cb60a652bcf01327714163174c4e40d04c635868565027d23889f4cce48179c",
     "r_ap2_recovers_mid_block":
         "8e3ce4f711a23b7ea011f5b10af34cc6114a098775d6d2d9f8c0820a33d8cb58",
+    "r_ap6_delta0_l64_fir_leading_zero":
+        "a5f22a6503990f9387d8c37095c96ec9355e724989d5a59a28a2628a60733ff4",
 }
 
 
 def _block_case(name):
-    algo, noise, meas_sigma, runs, seed = _BLOCK_CASES[name]
+    algo, noise, meas_sigma, runs, seed, *plant = _BLOCK_CASES[name]
     T = 3 * sysid.PROJECTION_BLOCK + algo.projection_order + 1
-    plant = [1.0, -0.6, 0.3][:algo.filter_length]
+    plant = plant[0] if plant else [1.0, -0.6, 0.3][:algo.filter_length]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # under-modeling in the N > L case
         return _config(algo, plant, iterations=T, runs=runs, seed=seed, meas_sigma=meas_sigma,
