@@ -291,9 +291,13 @@ def resolve_config_path(name: str) -> Path:
 
 
 def run_experiment_file(spec: ExperimentFile, threads: int = 1) -> list[VariantResult]:
-    """Run every variant of ``spec``; their signals are generated once and shared."""
+    """Run every variant of ``spec``; their signals are generated once and shared.
+
+    An LMS µ sweep (the LMS variants of one filter length) adapts in one loop
+    during its first variant's run_ensemble call.
+    """
     results = []
-    with _shared_signals():
+    with _shared_signals([algo for _, algo in spec.variants]):
         for name, algo in spec.variants:
             ensemble = run_ensemble(spec.experiment_config(algo), max_workers=threads)
             window = min(spec.smoothing_window, spec.iterations)

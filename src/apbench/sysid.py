@@ -26,7 +26,9 @@ short of the residual bound, or divergence) is frozen while the others
 finish, and the lowest failing run is reported. Inside a _shared_signals
 scope (cli.run_experiment_file opens one around an experiment file's
 variants) the signals of an ensemble are generated once and shared,
-read-only, by the configs that differ only in their algorithm. run_single
+read-only, by the configs that differ only in their algorithm, and the LMS
+variants that differ only in µ adapt in one loop, as a batch (V, *B) with a
+µ column; each variant still checks and reports its own failures. run_single
 and run_ensemble document how a wrapper installed at this module's
 run_single or lms_step sees every run and every LMS step.
 """
@@ -73,6 +75,9 @@ AUTO_MU_CAP = 1.0
 
 # the signals built in the open _shared_signals scope, by key; None outside one
 _SHARED_SIGNALS: ContextVar[dict | None] = ContextVar("shared_signals", default=None)
+# the open _shared_signals scope's LMS variants not adapted yet, and the
+# results stored for them by (signals key, algorithm); None outside one
+_SWEEPS: ContextVar[tuple[list, dict] | None] = ContextVar("sweeps", default=None)
 
 # projection steps whose Gram matrices are built and factored together: long
 # enough to spread the per-block numpy calls, short enough that a block's
@@ -177,33 +182,41 @@ def _member_signals(config: ExperimentConfig, run_index: int) -> tuple[np.ndarra
 
 
 @contextmanager
-def _shared_signals():
+def _shared_signals(algorithms=()):
     """A scope in which every ensemble's signals are built once and shared.
 
     Inside it, _signals returns the arrays it built before for an equal key,
     read-only, so that configs differing only in their algorithm adapt on the
-    same arrays. Leaving the scope, also by an exception, drops them. A scope
-    opened inside another starts empty and restores the outer one on leaving.
+    same arrays. ``algorithms`` are the variants the scope will run, in
+    order; their LMS µ sweeps adapt in one loop each (_adapt_sweep). Leaving
+    the scope, also by an exception, drops the signals and the stored
+    results. A scope opened inside another starts empty and restores the
+    outer one on leaving.
     """
     token = _SHARED_SIGNALS.set({})
+    sweeps = _SWEEPS.set(([a for a in algorithms if a.kind is AlgorithmKind.LMS], {}))
     try:
         yield
     finally:
+        _SWEEPS.reset(sweeps)
         _SHARED_SIGNALS.reset(token)
 
 
-def _signals(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, np.ndarray]:
-    """Inputs x and desired responses d of the runs, (*B, T) each, B = () for one run.
+def _signals_key(config: ExperimentConfig, run_indices: range) -> tuple:
+    """Everything an ensemble's signals depend on.
 
-    In a _shared_signals scope the key is everything the signals depend on:
-    the noise spec (its repr tells -0.0 from 0.0, which equality does not),
-    the plant taps' bytes, the measurement noise, the length, the base seed
-    and the run indices.
+    The noise spec goes in as its repr, which tells -0.0 from 0.0 where
+    equality does not.
     """
+    return (repr(config.noise), config.plant.h.tobytes(), config.plant.measurement_noise_sigma,
+            config.iterations, config.base_seed, run_indices)
+
+
+def _signals(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs x and desired responses d of the runs, (*B, T) each, B = () for one run."""
     shared = _SHARED_SIGNALS.get()
     if shared is not None:
-        key = (repr(config.noise), config.plant.h.tobytes(), config.plant.measurement_noise_sigma,
-               config.iterations, config.base_seed, run_indices)
+        key = _signals_key(config, run_indices)
         if key in shared:
             return shared[key]
     signals = [_member_signals(config, r) for r in run_indices]
@@ -215,15 +228,53 @@ def _signals(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, 
     return x, d
 
 
+def _adapt_sweep(config: ExperimentConfig, run_indices: range, delta: float,
+                 x: np.ndarray, d: np.ndarray):
+    """_adapt's results for ``config``; in a scope, its LMS µ sweep adapts at once.
+
+    In a _shared_signals scope, an LMS variant whose results are not stored
+    is adapted together with the scope's LMS variants ahead of it that share
+    its filter length: one batch (V, *B) on its signals with a µ column. The
+    others' results are stored by signals key and algorithm until their own
+    calls take them; a call on other signals adapts alone.
+    """
+    algo = config.algorithm
+    sweeps = _SWEEPS.get()
+    if sweeps is None or algo.kind is not AlgorithmKind.LMS:
+        return _adapt(algo, delta, x, d)
+    ahead, adapted = sweeps
+    key = (_signals_key(config, run_indices), algo)
+    if key in adapted:
+        stored = adapted[key]
+        if len(stored) == 1:
+            del adapted[key]
+        return stored.pop(0)
+    if algo in ahead:
+        ahead.remove(algo)
+    group = [algo] + [a for a in ahead if a.filter_length == algo.filter_length]
+    if len(group) == 1:
+        return _adapt(algo, delta, x, d)
+    for a in group[1:]:
+        ahead.remove(a)
+    # a µ column: one per member of the leading axis, broadcast over the runs
+    mu = np.array([a.mu for a in group]).reshape((-1,) + (1,) * (x.ndim - 1))
+    errors, *rest = _adapt(algo, delta, x, np.broadcast_to(d, (len(group),) + d.shape), mu=mu)
+    for v, a in enumerate(group[1:], 1):
+        adapted.setdefault((key[0], a), []).append((errors[:, v], *(r[v] for r in rest)))
+    return (errors[:, 0], *(r[0] for r in rest))
+
+
 def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray,
-           via_lms_step: bool = False):
+           via_lms_step: bool = False, mu=None):
     """The adaptation loop: every member of a batch, one time step at a time.
 
-    ``x`` and ``d`` hold each member's input and desired signal, shape
-    (*B, T). Weights start at zero; each iteration pushes one input sample
+    ``d`` holds each member's desired signal, shape (*B, T), and ``x`` its
+    input, of the same shape or, in an LMS µ sweep, without d's leading
+    axis V. Weights start at zero; each iteration pushes one input sample
     and performs one step of the configured algorithm for all members.
-    With ``via_lms_step`` (B = () only) an LMS iteration calls the public
-    lms_step, which performs the same operations.
+    The LMS step size ``mu`` is algo.mu, or a column (V, 1, …) with one per
+    member of that axis. With ``via_lms_step`` (B = () only) an LMS
+    iteration calls the public lms_step, which performs the same operations.
 
     Returns the a-priori errors (T, *B), the final weights (*B, L) and, per
     member, the iteration at which its projection step failed (-1 if never)
@@ -231,10 +282,10 @@ def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray,
     than a singular Gram; a failed member keeps its weights from then on.
     """
     L, N = algo.filter_length, algo.projection_order
-    batch, T = x.shape[:-1], x.shape[-1]
+    batch, T = d.shape[:-1], d.shape[-1]
     # after N + L - 2 leading zeros every row of every data matrix is a window:
     # regressors[m] is the tap-delay line at time m - N + 1, newest sample first
-    xp = np.concatenate([np.zeros(batch + (N + L - 2,)), x], axis=-1)
+    xp = np.concatenate([np.zeros(x.shape[:-1] + (N + L - 2,)), x], axis=-1)
     regressors = np.moveaxis(sliding_window_view(xp, L, axis=-1)[..., ::-1], -2, 0)
     errors = np.empty((T,) + batch)
     failed_at = np.full(batch, -1)
@@ -243,19 +294,21 @@ def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray,
     # non-finite values are reported as divergence once the loop has ended
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if algo.kind is AlgorithmKind.LMS:
-            w = _lms_loop(algo.mu, regressors, d, w, errors, via_lms_step)
+            w = _lms_loop(algo.mu if mu is None else mu, regressors, d, w, errors,
+                          via_lms_step)
         else:
             w = _projection_loop(algo, delta, regressors, d, errors, failed_at, inexact)
     return errors, w, failed_at, inexact
 
 
-def _lms_loop(mu: float, regressors: np.ndarray, d: np.ndarray, w: np.ndarray,
+def _lms_loop(mu, regressors: np.ndarray, d: np.ndarray, w: np.ndarray,
               errors: np.ndarray, via_lms_step: bool) -> np.ndarray:
     """All T iterations of LMS for a batch; returns the final weights.
 
     One in-place kernel serves one member and a batch: mu*e goes into
     ``scale`` (0-d for one member, (*B, 1) for a batch), as a scalar operand
-    would be converted to an array on every step. The operations are
+    would be converted to an array on every step. ``mu`` is a float or, for
+    a batch (V, *B), a column (V, 1, …). The operations are
     lms_update's, so the results are bit-identical to it. The desired
     samples are read from the array, not from a list of it: a list costs
     about 32 bytes per sample, which raises the peak memory of a long run.
@@ -410,7 +463,8 @@ def _run(config: ExperimentConfig, run_indices: range,
     L, T = algo.filter_length, config.iterations
     x, d = _signals(config, run_indices)
     delta = algo.resolved_delta(input_variance(config.noise))
-    errors, w, failed_at, inexact = _adapt(algo, delta, x, d, via_lms_step)
+    errors, w, failed_at, inexact = _adapt(algo, delta, x, d, via_lms_step) if via_lms_step \
+        else _adapt_sweep(config, run_indices, delta, x, d)
 
     errors = np.ascontiguousarray(errors.reshape(T, -1).T)
     w = w.reshape(-1, L)

@@ -515,6 +515,191 @@ def test_a_files_signals_are_dropped_when_it_ends(fails, tmp_path, monkeypatch):
     assert all(ref() is None for ref in built)
 
 
+def _lms_sweep(tmp_path, mus, filter_length=7):
+    """A file of LMS variants differing only in µ, with R = 4 and measurement noise."""
+    config = _tiny_config(tmp_path / "out", iterations=200)
+    config["plant"]["measurement_noise_sigma"] = 0.01
+    config["algorithms"] = [{"name": f"lms{k}", "kind": "lms", "filter_length": filter_length,
+                             "mu": mu} for k, mu in enumerate(mus)]
+    return config
+
+
+def _unscoped(spec):
+    """Each variant's run_ensemble result or AdaptationError, each call outside a scope."""
+    outcomes = []
+    for _, algo in spec.variants:
+        try:
+            outcomes.append(run_ensemble(spec.experiment_config(algo)))
+        except AdaptationError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _assert_same_ensemble(got, expected):
+    assert got.trace.values_db.tobytes() == expected.trace.values_db.tobytes()
+    assert len(got.runs) == len(expected.runs)
+    for a, b in zip(got.runs, expected.runs):
+        assert a.mse_trace.tobytes() == b.mse_trace.tobytes()
+        assert a.final_weights.tobytes() == b.final_weights.tobytes()
+        assert a.total_multiplies == b.total_multiplies
+
+
+def _record_adapt(monkeypatch):
+    """Wraps sysid._adapt; returns the (kind, L, µ column or None, batch) of each call."""
+    calls = []
+    adapt = sysid._adapt
+
+    def recorded(algo, delta, x, d, *args, mu=None):
+        calls.append((algo.kind, algo.filter_length, None if mu is None else mu.ravel().tolist(),
+                      d.shape[:-1]))
+        return adapt(algo, delta, x, d, *args, mu=mu)
+
+    monkeypatch.setattr(sysid, "_adapt", recorded)
+    return calls
+
+
+def test_a_mu_sweep_file_equals_unscoped_runs_bit_for_bit(tmp_path, monkeypatch):
+    spec = load_experiment_file(_write_config(tmp_path, _lms_sweep(tmp_path, [0.05, 0.01, 0.1])))
+    expected = _unscoped(spec)
+    calls = _record_adapt(monkeypatch)
+    results = cli.run_experiment_file(spec)
+    assert calls == [(AlgorithmKind.LMS, 7, [0.05, 0.01, 0.1], (3, 4))]
+    for res, ensemble in zip(results, expected, strict=True):
+        _assert_same_ensemble(res.ensemble, ensemble)
+
+
+def test_a_mixed_file_adapts_only_its_lms_variants_of_one_length_together(tmp_path,
+                                                                         monkeypatch):
+    config = _tiny_config(tmp_path / "out", plant={"design": {"num_taps": 5, "cutoff_fn": 0.5}})
+    config["algorithms"] = [
+        {"name": "lms_a", "kind": "lms", "filter_length": 7, "mu": 0.05},
+        {"name": "lms_short", "kind": "lms", "filter_length": 5, "mu": 0.05},
+        {"name": "bndr_lms", "kind": "bndr_lms", "filter_length": 7, "mu_mode": "fixed",
+         "mu": 1.0},
+        {"name": "lms_b", "kind": "lms", "filter_length": 7, "mu": 0.02},
+    ]
+    spec = load_experiment_file(_write_config(tmp_path, config))
+    expected = _unscoped(spec)
+    calls = _record_adapt(monkeypatch)
+    results = cli.run_experiment_file(spec)
+    assert calls == [(AlgorithmKind.LMS, 7, [0.05, 0.02], (2, 4)),
+                     (AlgorithmKind.LMS, 5, None, (4,)),
+                     (AlgorithmKind.BNDR_LMS, 7, None, (4,))]
+    for res, ensemble in zip(results, expected, strict=True):
+        _assert_same_ensemble(res.ensemble, ensemble)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+def test_a_diverging_mu_fails_the_file_at_its_own_variant(position, tmp_path, monkeypatch):
+    mus = [0.05, 0.01]
+    mus.insert(position, 100.0)  # far above 2/(L Var(x)): non-finite within 200 steps
+    with pytest.warns(UserWarning, match="expected to diverge"):
+        spec = load_experiment_file(_write_config(tmp_path, _lms_sweep(tmp_path, mus)))
+    with warnings.catch_warnings(record=True) as expected_warnings:
+        warnings.simplefilter("always")
+        expected = _unscoped(spec)[:position + 1]
+    assert [isinstance(e, AdaptationError) for e in expected] == [False] * position + [True]
+    completed = []
+    run_ensemble_ = cli.run_ensemble
+    monkeypatch.setattr(cli, "run_ensemble",
+                        lambda *args, **kwargs: completed.append(run_ensemble_(*args, **kwargs))
+                        or completed[-1])
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        try:
+            cli.run_experiment_file(spec)
+        except AdaptationError as exc:
+            error = exc
+    assert (str(error), error.run_index, error.iteration) == (
+        str(expected[-1]), expected[-1].run_index, expected[-1].iteration)
+    assert str(error).endswith(": diverged")
+    assert len(completed) == position
+    for got, ensemble in zip(completed, expected):
+        _assert_same_ensemble(got, ensemble)
+    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in expected_warnings]
+
+
+def test_a_sweep_adapts_once_inside_its_first_variants_call(tmp_path, monkeypatch):
+    # perfbench's step_us times the run_ensemble calls, so the work must not leave them
+    spec = load_experiment_file(_write_config(tmp_path, _lms_sweep(tmp_path, [0.05, 0.01, 0.1])))
+    entered, active, adapted_in = [], [None], []
+    adapt, run_ensemble_ = sysid._adapt, cli.run_ensemble
+
+    def timed(*args, **kwargs):
+        active[0] = len(entered)
+        entered.append(active[0])
+        try:
+            return run_ensemble_(*args, **kwargs)
+        finally:
+            active[0] = None
+
+    def counted(*args, **kwargs):
+        adapted_in.append(active[0])
+        return adapt(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ensemble", timed)
+    monkeypatch.setattr(sysid, "_adapt", counted)
+    cli.run_experiment_file(spec)
+    assert (entered, adapted_in) == ([0, 1, 2], [0])
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_a_sweeps_stored_results_are_dropped_once_taken(fails, tmp_path, monkeypatch):
+    # the first variant diverges, so its call raises with the others' results stored
+    config = _lms_sweep(tmp_path, [100.0 if fails else 0.05, 0.01, 0.1])
+    config["algorithms"].append({"name": "bndr_lms", "kind": "bndr_lms", "filter_length": 7,
+                                 "mu_mode": "fixed", "mu": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = load_experiment_file(_write_config(tmp_path, config))
+    sweep_errors = []
+    adapt, run_ensemble_ = sysid._adapt, cli.run_ensemble
+
+    def recorded(*args, **kwargs):
+        errors, *rest = adapt(*args, **kwargs)
+        if kwargs.get("mu") is not None:
+            sweep_errors.append(weakref.ref(errors))
+        return errors, *rest
+
+    def checked(config, **kwargs):
+        if config.algorithm.kind is AlgorithmKind.BNDR_LMS:
+            # the sweep's last variant has taken its results: nothing holds them
+            gc.collect()
+            assert sweep_errors and sweep_errors[0]() is None
+        return run_ensemble_(config, **kwargs)
+
+    monkeypatch.setattr(sysid, "_adapt", recorded)
+    monkeypatch.setattr(cli, "run_ensemble", checked)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            results = cli.run_experiment_file(spec)
+        except AdaptationError:
+            assert fails
+        else:
+            assert not fails and len(results) == 4
+    assert sysid._SWEEPS.get() is None
+    gc.collect()
+    assert len(sweep_errors) == 1 and sweep_errors[0]() is None
+
+
+def test_a_replaced_run_single_sees_every_run_of_a_sweep(tmp_path, monkeypatch):
+    spec = load_experiment_file(_write_config(tmp_path, _lms_sweep(tmp_path, [0.05, 0.01, 0.1])))
+    expected = cli.run_experiment_file(spec)
+    calls = _record_adapt(monkeypatch)
+    runs = []
+    run_single = sysid.run_single
+    monkeypatch.setattr(sysid, "run_single",
+                        lambda config, r: runs.append((config.algorithm.mu, r))
+                        or run_single(config, r))
+    results = cli.run_experiment_file(spec)
+    assert runs == [(mu, r) for mu in (0.05, 0.01, 0.1) for r in range(4)]
+    # each run adapted alone, as a single run
+    assert calls == [(AlgorithmKind.LMS, 7, None, ())] * 12
+    for res, ref in zip(results, expected, strict=True):
+        _assert_same_ensemble(res.ensemble, ref.ensemble)
+
+
 class ForkLog:
     """Wraps os.fork and os.waitpid to count forks and the children in flight."""
 

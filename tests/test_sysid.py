@@ -403,6 +403,29 @@ class TestSharedSignals:
         assert sysid._SHARED_SIGNALS.get() is None
 
 
+@pytest.mark.parametrize("L", [13, 64])
+@pytest.mark.parametrize("noise", [WHITE, NoiseSpec(NoiseKind.AR1_COLORED, sigma=1.0,
+                                                   ar_coefficient=0.8)], ids=["white", "ar1"])
+@pytest.mark.parametrize("runs", [None, 1, 5], ids=["V", "V_R1", "V_R5"])
+def test_a_mu_column_adapts_each_member_as_alone_bit_for_bit(L, noise, runs):
+    # three LMS step sizes as one batch (V, *B): B = () for one run's signals,
+    # (R,) for an ensemble's; the largest step size diverges, member by member
+    x, d = sysid._signals(_config(AlgorithmConfig(AlgorithmKind.LMS, filter_length=L, mu=0.01),
+                                  design_highpass_fir(L - 1 + L % 2, 0.4), iterations=300,
+                                  meas_sigma=0.01, noise=noise), range(runs or 1))
+    if runs == 1:
+        x, d = x[None], d[None]
+    mus = [scale / (L * input_variance(noise)) for scale in (0.1, 1.0, 1000.0)]
+    algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=L, mu=mus[0])
+    mu = np.array(mus).reshape((3,) + (1,) * (x.ndim - 1))
+    errors, w, *_ = sysid._adapt(algo, 0.0, x, np.broadcast_to(d, (3,) + d.shape), mu=mu)
+    assert not np.isfinite(w[2]).all()
+    for v, mu_v in enumerate(mus):
+        alone_errors, alone_w, *_ = sysid._adapt(replace(algo, mu=mu_v), 0.0, x, d)
+        assert errors[:, v].tobytes() == alone_errors.tobytes()
+        assert w[v].tobytes() == alone_w.tobytes()
+
+
 class TestExperimentConfig:
     def test_under_modeling_warns(self):
         algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=2, mu=0.1)
