@@ -2,11 +2,12 @@
 
 The Gram systems solved here are tiny (order <= 8 in practice) but come in
 stacks, one per ensemble member. The solver therefore loops over the matrix
-indices in Python, on entries that are arrays over the stack (or Python
-floats for a single system): every member sees exactly the scalar operation
-sequence of a textbook Cholesky, so its result does not depend on what else
-is in the stack, and the pivot tolerance is under exact control. Only the
-lower triangle of the input matrix is read by the factorization.
+indices in Python, on entries that are numpy arrays over the stack (numpy
+scalars for a single system, a stack of shape ()): every member sees exactly
+the scalar operation sequence of a textbook Cholesky, so its result does not
+depend on what else is in the stack, and the pivot tolerance is under exact
+control. Only the lower triangle of the input matrix is read by the
+factorization.
 
 Factoring (_factor) and solving with a factor (_solve_factored) are
 separate steps. solve_stacked runs one after the other; the adaptation loop
@@ -22,7 +23,6 @@ substitutions, running the block again step by step through solve_stacked
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -50,14 +50,7 @@ class SingularMatrixError(ArithmeticError):
 
 def _largest(values):
     """Entrywise maximum of the values; NaN wherever one of them is NaN."""
-    if isinstance(values[0], np.ndarray):
-        return functools.reduce(np.maximum, values)
-    return math.nan if any(map(math.isnan, values)) else max(values)
-
-
-def _select(flag, a, b):
-    """``a`` where ``flag`` is set, else ``b``."""
-    return np.where(flag, a, b) if isinstance(flag, np.ndarray) else (a if flag else b)
+    return functools.reduce(np.maximum, values)
 
 
 def _cholesky(a: list, n: int) -> tuple[list, object]:
@@ -77,9 +70,7 @@ def _cholesky(a: list, n: int) -> tuple[list, object]:
             d = d - row_j[k] * row_j[k]
         bad = d <= tol
         singular = singular | bad
-        dj = np.sqrt(np.where(bad, 1.0, d)) if isinstance(bad, np.ndarray) \
-            else 1.0 if bad else math.sqrt(d)
-        row_j[j] = dj
+        row_j[j] = dj = np.sqrt(np.where(bad, 1.0, d))
         for i in range(j + 1, n):
             row_i = chol[i]
             s = a[i][j]
@@ -129,8 +120,8 @@ def _residual_norm(a: list, x: list, b: list, n: int, held) -> tuple[list, objec
 def _factor(a: list, n: int, delta: float) -> tuple[list, object]:
     """Cholesky factor of the entry lists ``a`` + delta*I: (chol, singular).
 
-    ``a`` is the Gram matrix as n rows of n entries, Python floats or arrays
-    over the stack; its diagonal receives delta in place, so that ``a`` is
+    ``a`` is the Gram matrix as n rows of n entries, arrays or scalars over
+    the stack; its diagonal receives delta in place, so that ``a`` is
     the regularized matrix that _solve_factored measures residuals against.
     The factor depends on the matrix alone, so one factorization serves
     every right-hand side solved against it.
@@ -154,17 +145,9 @@ def _solve_factored(a: list, chol: list, b: list, n: int, held) -> tuple[list, o
     for _ in range(REFINEMENT_PASSES):
         if not short.any():
             break
-        x = [_select(short, xi + ci, xi) for xi, ci in zip(x, _substitute(chol, r, n))]
+        x = [np.where(short, xi + ci, xi) for xi, ci in zip(x, _substitute(chol, r, n))]
         r, short = _residual_norm(a, x, b, n, held)
     return x, short
-
-
-def _solve(a: list, b: list, n: int, delta: float, skip) -> tuple[list, object, object]:
-    """solve_stacked on entry lists: (solution entries, singular, inexact)."""
-    chol, singular = _factor(a, n, delta)
-    held = np.logical_not(singular if skip is None else singular | skip)
-    x, inexact = _solve_factored(a, chol, b, n, held)
-    return x, singular, inexact
 
 
 def solve_stacked(gram, delta: float, rhs, skip=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,19 +177,10 @@ def solve_stacked(gram, delta: float, rhs, skip=None) -> tuple[np.ndarray, np.nd
     if b.shape != g.shape[:-1]:
         raise ValueError(f"rhs must have shape {g.shape[:-1]}, got {b.shape}")
 
-    if g.ndim == 2:
-        # a single system runs on Python floats, which raise where numpy
-        # returns inf or NaN; such a system is solved as a one-member stack
-        try:
-            x, singular, inexact = _solve(g.tolist(), b.tolist(), n, delta, skip)
-        except (ZeroDivisionError, ValueError):
-            x, singular, inexact = solve_stacked(g[None], delta, b[None],
-                                                 None if skip is None else np.reshape(skip, 1))
-            return x[0], singular[0], inexact[0]
-        x = np.full(n, np.nan) if singular or inexact else np.array(x)
-        return x, np.asarray(singular), np.asarray(inexact)
-    a = [list(row) for row in np.moveaxis(g, (-2, -1), (0, 1))]
-    x, singular, inexact = _solve(a, list(np.moveaxis(b, -1, 0)), n, delta, skip)
+    a = [[g[..., i, j] for j in range(n)] for i in range(n)]
+    chol, singular = _factor(a, n, delta)
+    held = np.logical_not(singular if skip is None else singular | skip)
+    x, inexact = _solve_factored(a, chol, [b[..., i] for i in range(n)], n, held)
     x = np.stack(x, axis=-1)
     x[singular | inexact] = np.nan
     return x, singular, inexact
@@ -239,7 +213,7 @@ def _members(flags: np.ndarray | None) -> str:
     """The flagged members of a stack, for an error message; empty for one system."""
     if flags is None or not flags.ndim:
         return ""
-    return f" (stack member(s) {np.argwhere(flags).tolist()})"
+    return f" (stack member(s) {[list(map(int, m)) for m in np.argwhere(flags)]})"
 
 
 def residual_error(inexact: np.ndarray | None = None) -> ArithmeticError:

@@ -135,7 +135,7 @@ class ExperimentConfig:
             warnings.warn(
                 f"filter_length {self.algorithm.filter_length} is shorter than the "
                 f"plant ({self.plant.length} taps): the plant cannot be identified exactly",
-                stacklevel=2,
+                stacklevel=3,
             )
         algo = self.algorithm
         if algo.kind is AlgorithmKind.LMS:
@@ -145,7 +145,7 @@ class ExperimentConfig:
                 warnings.warn(
                     f"LMS mu {algo.mu} exceeds 2/(L*Var(x)) = {2.0 / trace_r:.3g}: "
                     "the filter is expected to diverge",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
 
 
@@ -456,7 +456,7 @@ def _run(config: ExperimentConfig, run_indices: range,
 
     Raises AdaptationError for the lowest failing run index, at its first
     failing iteration: a singular projection step after warm-up, a solve
-    short of the residual bound, or a non-finite error or weight
+    short of the residual bound, or a non-finite squared error or weight
     ("diverged").
     """
     algo = config.algorithm
@@ -470,8 +470,10 @@ def _run(config: ExperimentConfig, run_indices: range,
     w = w.reshape(-1, L)
     failed_at = failed_at.reshape(-1)
     inexact = inexact.reshape(-1)
-    finite = np.isfinite(errors)
-    # first non-finite error; weights that overflow in the last step count there
+    with np.errstate(over="ignore"):
+        mse = errors * errors
+    finite = np.isfinite(mse)
+    # first non-finite square; weights that overflow in the last step count there
     diverged_at = np.where(finite.all(axis=1), T, np.argmin(finite, axis=1))
     diverged_at = np.where(np.isfinite(w).all(axis=1), diverged_at,
                            np.minimum(diverged_at, T - 1))
@@ -484,7 +486,6 @@ def _run(config: ExperimentConfig, run_indices: range,
             raise AdaptationError(run_indices[m], int(solve_failed_at[m]), cause) from cause
         raise AdaptationError(run_indices[m], int(diverged_at[m]), "diverged")
 
-    mse = errors * errors
     total = T * step_multiplies(algo.kind, L, algo.projection_order)
     return mse, tuple(RunResult(mse_trace=mse[m], final_weights=w[m], total_multiplies=total)
                       for m in range(len(run_indices)))
@@ -512,6 +513,10 @@ def run_ensemble(config: ExperimentConfig, max_workers: int = 1) -> EnsembleResu
     go through it one by one instead, with bit-identical results, so that
     the wrapper sees every run. ``max_workers`` must be >= 1; it is kept for
     compatibility and changes neither how the ensemble runs nor its result.
+
+    Finite squared errors of several runs can still sum past the float64
+    range; the first iteration where their mean overflows fails as the
+    divergence of the run with the largest square there.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -521,6 +526,12 @@ def run_ensemble(config: ExperimentConfig, max_workers: int = 1) -> EnsembleResu
         mse = np.stack([r.mse_trace for r in runs])
     else:
         mse, runs = _run(config, indices)
-    mean_e2 = np.mean(mse, axis=0)
+    with np.errstate(over="ignore"):
+        mean_e2 = np.mean(mse, axis=0)
+    overflow = np.isinf(mean_e2)
+    if overflow.any():
+        n = int(np.argmax(overflow))
+        raise AdaptationError(int(np.argmax(mse[:, n])), n,
+                              "diverged (the ensemble mean of the squared errors overflows)")
     values_db = 10.0 * np.log10(np.maximum(mean_e2, MSE_FLOOR))
     return EnsembleResult(trace=MseTrace(values_db, smoothing_window=1), runs=runs)

@@ -254,6 +254,18 @@ class TestRunCommand:
         assert re.fullmatch(r"runtime error: run 0 failed at iteration \d+: diverged\n", err)
         assert "Traceback" not in err
 
+    def test_an_overflowing_square_is_a_runtime_failure_without_traceback(self, tmp_path,
+                                                                          capsys):
+        config = _tiny_config(tmp_path / "out", iterations=300, ensemble_runs=1)
+        config["algorithms"] = [{"name": "lms", "kind": "lms", "filter_length": 64, "mu": 1.5}]
+        path = _write_config(tmp_path, config)
+        with pytest.warns(UserWarning, match="expected to diverge"):
+            code = main(["run", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.fullmatch(r"runtime error: run 0 failed at iteration \d+: diverged\n", err)
+        assert "Traceback" not in err
+
     def test_residual_failure_is_a_runtime_failure_without_traceback(self, tmp_path, capsys):
         config = _tiny_config(tmp_path / "out", iterations=30, base_seed=0,
                               plant={"coefficients": [1.0], "measurement_noise_sigma": 0.01})

@@ -1,8 +1,13 @@
 """Tests for the regularized SPD solver."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
+from apbench import selftest
+from apbench.algorithms import ap_step
 from apbench.linalg import RESIDUAL_RTOL, SingularMatrixError, solve_regularized, solve_stacked
 
 
@@ -166,3 +171,55 @@ def test_single_system_matches_a_one_member_stack_where_python_floats_would_rais
     assert x.shape == (2,) and singular.shape == () and inexact.shape == ()
     assert np.array_equal(x, x1[0], equal_nan=True) and singular == singular1[0]
     assert inexact == inexact1[0]
+
+
+def _single_systems(count=2000, seed=1414):
+    """Seeded single systems (gram, delta, rhs, skip) of order 1 to 8.
+
+    PSD, rank-deficient, symmetric indefinite, and PSD but for a pair of
+    non-finite entries, in turn; every third system has a skip flag.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(1, 9))
+        a = rng.standard_normal((n, n))
+        kind = i % 4
+        if kind == 1:
+            a = a[:, :max(n - 1, 1)]
+        gram = a + a.T if kind == 2 else a @ a.T
+        if kind == 3:
+            r, c = rng.integers(0, n, size=2)
+            gram[r, c] = gram[c, r] = rng.choice([np.nan, np.inf, -np.inf])
+        delta = float(rng.choice([0.0, 1e-8, 1e-3]))
+        skip = None if i % 3 else np.bool_(rng.integers(2))
+        yield gram, delta, rng.standard_normal(n), skip
+
+
+# sha256 over (x, singular, inexact) of every _single_systems() solve, taken
+# while a single system still ran on Python floats
+_SINGLE_DIGEST = "bfe6ba10806ac746e7df962f67c850e289f669d7d93c70e84d27fc58bcb11263"
+
+
+def test_single_systems_keep_every_bit_and_match_one_member_stacks():
+    digest = hashlib.sha256()
+    with np.errstate(all="ignore"):
+        for gram, delta, rhs, skip in _single_systems():
+            x, singular, inexact = solve_stacked(gram, delta, rhs, skip)
+            stack = solve_stacked(gram[None], delta, rhs[None], None if skip is None else skip[None])
+            assert x.tobytes() == stack[0][0].tobytes()
+            assert (singular, inexact) == (stack[1][0], stack[2][0])
+            for v in (x, singular, inexact):
+                digest.update(np.asarray(v).tobytes())
+    assert digest.hexdigest() == _SINGLE_DIGEST
+
+
+def test_finite_psd_systems_raise_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(ok for ok, _ in selftest.run_all().values())
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            N = int(rng.integers(1, 9))
+            L = int(rng.integers(N + 1, 33))
+            ap_step(rng.standard_normal(L), rng.standard_normal((N, L)), rng.standard_normal(N),
+                    float(rng.uniform(0.1, 1.0)), float(rng.choice([0.0, 1e-8, 1e-3])))

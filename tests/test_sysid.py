@@ -304,6 +304,31 @@ class TestRunEnsemble:
             run_ensemble(config)
         assert (err.value.run_index, err.value.iteration) == (0, firsts[0])
 
+    def test_an_overflowing_square_is_divergence(self):
+        # the errors stay finite one iteration longer than their squares
+        algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=64, mu=1.5)
+        with pytest.warns(UserWarning, match="expected to diverge"):
+            config = _config(algo, [1.0, 0.5], iterations=300, runs=1, seed=7)
+        with pytest.raises(AdaptationError, match=": diverged$") as err:
+            run_single(config, 0)
+        errors = sysid._adapt(algo, 0.0, *sysid._signals(config, range(1)))[0]
+        with np.errstate(over="ignore"):
+            squares = errors * errors
+        n = err.value.iteration
+        assert np.isfinite(errors[n]) and np.isinf(squares[n]) and np.isfinite(squares[:n]).all()
+
+    def test_an_overflowing_ensemble_mean_is_divergence(self):
+        # every square is finite, but the three runs' squares at iteration 912 sum past
+        # the float64 range; run 2's is the largest
+        algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=2, mu=2.0)
+        with pytest.warns(UserWarning, match="expected to diverge"):
+            config = _config(algo, [1.0, 0.5], iterations=913, runs=3, seed=12000)
+        runs = [run_single(config, r) for r in range(3)]
+        with np.errstate(over="ignore"):
+            assert np.isinf(sum(run.mse_trace[912] for run in runs))
+        with pytest.raises(AdaptationError, match=r"^run 2 failed at iteration 912: diverged"):
+            run_ensemble(config)
+
     @pytest.mark.parametrize("kind", [AlgorithmKind.LMS, AlgorithmKind.R_AP])
     def test_replaced_run_single_sees_every_run_with_the_same_result(self, kind, monkeypatch):
         algo = AlgorithmConfig(kind, filter_length=4, mu=0.05) if kind is AlgorithmKind.LMS \
@@ -431,6 +456,13 @@ class TestExperimentConfig:
         algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=2, mu=0.1)
         with pytest.warns(UserWarning, match="shorter than the plant"):
             _config(algo, [1.0, 0.5, 0.25])
+
+    def test_warnings_name_the_line_that_builds_the_config(self):
+        for algo, h in ((AlgorithmConfig(AlgorithmKind.LMS, filter_length=2, mu=0.1), [1.0] * 3),
+                        (AlgorithmConfig(AlgorithmKind.LMS, filter_length=4, mu=1.0), [1.0])):
+            with pytest.warns(UserWarning) as record:
+                _config(algo, h)
+            assert len(record) == 1 and record[0].filename == __file__
 
     def test_stable_lms_step_size_does_not_warn(self):
         algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=13, mu=0.15)  # 2/13 = 0.154
