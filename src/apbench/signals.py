@@ -206,18 +206,29 @@ def frequency_response(w, k_points: int) -> FrequencyResponse:
     Magnitudes are clamped at MAG_FLOOR before the log so the response of a
     perfect null is finite (-300 dB).
     """
+    omegas, (magnitude_db,) = _responses_db([w], k_points)
+    return FrequencyResponse(omegas=omegas, magnitude_db=magnitude_db)
+
+
+def _responses_db(vectors, k_points: int):
+    """The grid of frequency_response and each vector's magnitude_db on it.
+
+    Each block's phase matrix is built once for all the vectors; a shorter
+    vector uses its leading columns.
+    """
     if k_points < 2:
         raise ValueError(f"k_points must be >= 2, got {k_points}")
-    coeffs = np.asarray(w, dtype=float)
+    coeffs = [np.asarray(w, dtype=float) for w in vectors]
     omegas = np.linspace(0.0, np.pi, k_points)
-    taps = np.arange(coeffs.shape[0])
-    mags = np.empty(k_points)
+    taps = np.arange(max(c.shape[0] for c in coeffs))
+    mags = np.empty((len(coeffs), k_points))
     # equal blocks of at most FREQ_BLOCK_ROWS rows, never a single row: numpy
     # evaluates a one-row product as a vector dot product, which sums in a
     # different order than the matrix-vector product and changes the last bit
     blocks = -(-k_points // FREQ_BLOCK_ROWS)
     for i in range(blocks):
         rows = slice(i * k_points // blocks, (i + 1) * k_points // blocks)
-        mags[rows] = np.abs(np.exp(-1j * np.outer(omegas[rows], taps)) @ coeffs)
-    mag_db = 20.0 * np.log10(np.maximum(mags, MAG_FLOOR))
-    return FrequencyResponse(omegas=omegas, magnitude_db=mag_db)
+        phase = np.exp(-1j * np.outer(omegas[rows], taps))
+        for mag, c in zip(mags, coeffs):
+            mag[rows] = np.abs(phase[:, :c.shape[0]] @ c)
+    return omegas, 20.0 * np.log10(np.maximum(mags, MAG_FLOOR))

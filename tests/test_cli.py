@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import decimal
 import gc
 import hashlib
 import json
@@ -473,6 +474,47 @@ def test_bundled_white_artifacts_keep_their_bytes(tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in WHITE_ARTIFACT_SHA256}
     assert digests == WHITE_ARTIFACT_SHA256
+
+
+def _bulk_path_inputs():
+    """Rows of (int, float, float) for the bulk path, and the edge rows alone."""
+    rng = np.random.default_rng(15)
+    rows = 500_000
+    low, high = np.log10(1e-3), np.log10(2.0**52)
+    floats = 10.0 ** rng.uniform(low, high, 2 * rows) * rng.choice([-1.0, 1.0], 2 * rows)
+    edges = [1e-3, 2.0**52, 100.000030517578125]
+    edges += [float(f"1e{p}") for p in range(-3, 16)]
+    edges = [np.nextafter(v, towards) for v in edges for towards in (0.0, np.inf)] + edges
+    # exact ties at the 18th significant digit, which round half to even
+    ties = [10.0**d + c * 2.0 ** (d - 17) for d in range(16) for c in (1, 3)]
+    ties += [a + c * 2.0**-t for a, t in ((0.5, 18), (0.0625, 19), (0.00390625, 20))
+             for c in (1, 3)]
+    assert all(len(decimal.Decimal(v).as_tuple().digits) == 18 for v in ties)
+    outside = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e17]
+    specials = np.array(edges + ties + outside)
+    specials = np.concatenate([specials, -specials])
+    ints = rng.integers(0, 10**8, rows)
+    int_specials = np.array([0, 1, 9, 10, 9999, 10**4, 10**8 - 1, -1, 10**8])
+    special_rows = np.stack([np.resize(int_specials, specials.size), specials,
+                             np.roll(specials, 1)])
+    at = rng.choice(rows, special_rows.shape[1], replace=False)
+    columns = [ints, floats[:rows], floats[rows:]]
+    for column, special in zip(columns, special_rows):
+        column[at] = special
+    return columns, [special_rows[0].astype(np.int64), special_rows[1], special_rows[2]]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, cli.CHUNK_ROWS])
+def test_the_bulk_path_writes_the_bytes_of_percent_formatting(chunk_rows):
+    columns, edge_rows = _bulk_path_inputs()
+    if chunk_rows < cli.CHUNK_ROWS:
+        columns = edge_rows  # one call per chunk: the edges alone
+    fields = ["%d", "%.17g", "%.17g"]
+    line = b"%d,%.17g,%.17g\n"
+    for start in range(0, len(columns[0]), chunk_rows):
+        chunk = [c[start:start + chunk_rows] for c in columns]
+        expected = b"".join(line % row for row in zip(*(c.tolist() for c in chunk)))
+        assert cli._bulk_rows(line, fields, chunk) == expected, start
 
 
 @pytest.mark.parametrize("meas_sigma", [0.0, 0.01])
