@@ -7,30 +7,8 @@ the squared a-priori error per iteration. Runs are pure functions of
 and the optional measurement noise with an independent salted stream, so
 ensembles are bit-reproducible and order-independent.
 
-The members of an ensemble share the iteration count, projection order and
-filter length, so one loop over time adapts all of them at once: weights of
-shape (*B, L), data matrices of shape (*B, k, L) taken as strided views of
-the inputs, errors of shape (*B, k), with B = (R,) for an ensemble and
-B = () for a single run (also a one-run ensemble). Every member goes through
-the same floating-point operations whatever else is in the batch, so its
-results are bit-identical in an ensemble of any size and in run_single.
-The projection kinds factor their Gram matrices one block of time steps at
-a time (PROJECTION_BLOCK): the Grams and their factors depend on the input
-alone, so only the weight-dependent work runs step by step, and the
-solver's residual bound is checked once, at the block's end. Any other
-block (a singular Gram, a failed member, or a member short of the bound)
-runs step by step through ap_update, the library's projection step, whose
-arithmetic the block path repeats.
-A member that fails (a singular projection step after warm-up, a solve
-short of the residual bound, or divergence) is frozen while the others
-finish, and the lowest failing run is reported. Inside a _shared_signals
-scope (cli.run_experiment_file opens one around an experiment file's
-variants) the signals of an ensemble are generated once and shared,
-read-only, by the configs that differ only in their algorithm, and the LMS
-variants that differ only in µ adapt in one loop, as a batch (V, *B) with a
-µ column; each variant still checks and reports its own failures. run_single
-and run_ensemble document how a wrapper installed at this module's
-run_single or lms_step sees every run and every LMS step.
+_adapt is the one adaptation loop, over a batch of members at once: batch
+shape () for run_single, (R,) for run_ensemble.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import pytest
 
 import apbench.linalg
 import apbench.selftest
-from apbench import cli, sysid
+from apbench import artifacts, cli, sysid
 from apbench.algorithms import (AlgorithmConfig, AlgorithmKind, step_multiplies,
                                 step_multiplies_literal)
 from apbench.cli import (
@@ -221,6 +221,24 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 1
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["not_utf8", "nested_too_deep", "duplicate_key"])
+    def test_unparsable_files_fail_with_one_error_line(self, case, tmp_path, capsys):
+        text, reason = {
+            "not_utf8": (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+            "nested_too_deep": (b"[" * 100000, "maximum recursion depth exceeded"),
+            # a runnable file but for the key given twice, whose last value used to win
+            "duplicate_key": (b'{"iterations": 10, '
+                              + json.dumps(_tiny_config(tmp_path / "out"))[1:].encode(),
+                              "duplicate key 'iterations'"),
+        }[case]
+        path = tmp_path / "broken.json"
+        path.write_bytes(text)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {re.escape(str(path))} is not valid JSON: [^\n]*\n", err)
+        assert reason in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_validation_error(self):
         assert main(["run", "no_such_config.json"]) == 1
 
@@ -338,6 +356,12 @@ class TestRunCommand:
         with pytest.raises(ConfigError):
             resolve_config_path("grey")
 
+    def test_a_directory_does_not_shadow_a_bundled_config(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "white").mkdir()  # as a first run with --out white leaves it
+        assert main(["run", "white", "--out", "white"]) == 0
+        assert (tmp_path / "white" / "summary.csv").is_file()
+
 
 def _reference_artifacts(spec, results, out):
     """The artifacts as the per-cell csv.writer formatter used to write them."""
@@ -430,9 +454,9 @@ def test_summary_quotes_variant_names_as_csv_writer_did(tmp_path):
 def test_artifacts_are_byte_identical_to_the_per_cell_csv_writer(chunk_rows, tmp_path,
                                                                  monkeypatch):
     if chunk_rows is not None:
-        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(artifacts, "CHUNK_ROWS", chunk_rows)
     # more rows than two chunks, and not a multiple of the chunk size
-    rows = 2 * cli.CHUNK_ROWS + 17
+    rows = 2 * artifacts.CHUNK_ROWS + 17
     spec, results = _crafted_results(rows)
     with np.errstate(over="ignore"):
         write_artifacts(spec, results, tmp_path / "chunked")
@@ -504,17 +528,17 @@ def _bulk_path_inputs():
     return columns, [special_rows[0].astype(np.int64), special_rows[1], special_rows[2]]
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 7, cli.CHUNK_ROWS])
+@pytest.mark.parametrize("chunk_rows", [1, 7, artifacts.CHUNK_ROWS])
 def test_the_bulk_path_writes_the_bytes_of_percent_formatting(chunk_rows):
     columns, edge_rows = _bulk_path_inputs()
-    if chunk_rows < cli.CHUNK_ROWS:
+    if chunk_rows < artifacts.CHUNK_ROWS:
         columns = edge_rows  # one call per chunk: the edges alone
     fields = ["%d", "%.17g", "%.17g"]
     line = b"%d,%.17g,%.17g\n"
     for start in range(0, len(columns[0]), chunk_rows):
         chunk = [c[start:start + chunk_rows] for c in columns]
         expected = b"".join(line % row for row in zip(*(c.tolist() for c in chunk)))
-        assert cli._bulk_rows(line, fields, chunk) == expected, start
+        assert artifacts._bulk_rows(line, fields, chunk) == expected, start
 
 
 @pytest.mark.parametrize("meas_sigma", [0.0, 0.01])
@@ -781,8 +805,8 @@ class ForkLog:
 
 def _forking(monkeypatch, slots=2, parallel_rows=8):
     """Files of ``parallel_rows`` rows or more go to children, ``slots`` at a time."""
-    monkeypatch.setattr(cli, "PARALLEL_ROWS", parallel_rows)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: slots)
+    monkeypatch.setattr(artifacts, "PARALLEL_ROWS", parallel_rows)
+    monkeypatch.setattr(artifacts, "_usable_cpus", lambda: slots)
     return ForkLog(monkeypatch)
 
 
@@ -794,7 +818,7 @@ def _assert_no_child_left():
 def _serial_and_forked(spec, results, tmp_path, monkeypatch, parallel_rows):
     """Writes the artifacts serially, then forked; returns the fork log."""
     with monkeypatch.context() as serial:
-        serial.setattr(cli, "_usable_cpus", lambda: 1)
+        serial.setattr(artifacts, "_usable_cpus", lambda: 1)
         write_artifacts(spec, results, tmp_path / "serial")
     log = _forking(monkeypatch, parallel_rows=parallel_rows)
     write_artifacts(spec, results, tmp_path / "forked")
@@ -808,7 +832,7 @@ def _serial_and_forked(spec, results, tmp_path, monkeypatch, parallel_rows):
 
 
 def test_forked_artifacts_match_the_serial_ones_for_crafted_results(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    monkeypatch.setattr(artifacts, "CHUNK_ROWS", 7)
     spec, results = _crafted_results(3 * 7 + 2)
     with np.errstate(over="ignore"):
         log = _serial_and_forked(spec, results, tmp_path, monkeypatch, parallel_rows=8)
@@ -843,7 +867,7 @@ def test_an_interrupted_parent_reaps_its_children_and_forks_no_more(tmp_path, mo
 
     # the summary comes last: both _mse.csv children run, and both
     # _freqresp.csv files wait for a free slot
-    monkeypatch.setattr(cli, "_csv_text", interrupted)
+    monkeypatch.setattr(artifacts, "_csv_text", interrupted)
     spec, results = _crafted_results(20)
     with np.errstate(over="ignore"), pytest.raises(KeyboardInterrupt):
         write_artifacts(spec, results, tmp_path)
@@ -863,8 +887,8 @@ def test_a_file_that_cannot_get_a_child_is_written_in_process(tmp_path, monkeypa
 
     with np.errstate(over="ignore"):
         write_artifacts(spec, results, tmp_path / "serial")
-        monkeypatch.setattr(cli, "PARALLEL_ROWS", 8)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(artifacts, "PARALLEL_ROWS", 8)
+        monkeypatch.setattr(artifacts, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(os, "fork", no_process)
         write_artifacts(spec, results, tmp_path / "forked")
     assert len(attempts) == 4
@@ -874,7 +898,7 @@ def test_a_file_that_cannot_get_a_child_is_written_in_process(tmp_path, monkeypa
 
 def test_below_the_threshold_nothing_forks(tmp_path, monkeypatch, capsys):
     log = ForkLog(monkeypatch)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(artifacts, "_usable_cpus", lambda: 2)
     assert main(["run", "white", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert log.forks == 0
@@ -896,8 +920,8 @@ def test_a_file_a_child_cannot_write_fails_the_run_with_one_line(tmp_path, monke
 
 def test_forked_writing_raises_no_warning_in_development_mode(tmp_path):
     # -W error turns a fork, resource or deprecation warning into a failure
-    code = ("import sys; from apbench import cli; "
-            "cli.PARALLEL_ROWS = 100; cli._usable_cpus = lambda: 2; "
+    code = ("import sys; from apbench import artifacts, cli; "
+            "artifacts.PARALLEL_ROWS = 100; artifacts._usable_cpus = lambda: 2; "
             f"sys.exit(cli.main(['run', 'white', '--out', {str(tmp_path)!r}]))")
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
                           capture_output=True, text=True, timeout=300,

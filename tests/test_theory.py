@@ -1,4 +1,4 @@
-"""Steady-state results checked against adaptive-filter theory, not against the code.
+"""Results checked against adaptive-filter theory, not against the code.
 
 LMS with a white Gaussian input of unit variance, a filter as long as the
 plant and white measurement noise of variance sigma_v^2 has the steady-state
@@ -13,8 +13,16 @@ excess mean-square error
 
 the NLMS expression mu * sigma_v^2 / (2 - mu) * Tr(R) * E[1/||x||^2] with the
 Gram averaged through the inverse-Wishart moment E[(X X^T)^-1] = I / (L - N - 1).
+The LMS learning curve follows the Gaussian independence recursion (Feuer &
+Weinstein, IEEE TASSP, 1985). In the eigenbasis of the input's
+autocorrelation matrix R, with k_i the mean squared weight error along
+eigenvector q_i (k_i(0) = (q_i^T h)^2 from zero weights),
+
+    k_i <- k_i (1 - 2 mu l_i + 2 mu^2 l_i^2) + mu^2 l_i (sum_j l_j k_j + sigma_v^2),
+    J(n) = sigma_v^2 + sum_i l_i k_i(n).
+
 Each band is the model's stated tolerance plus three standard errors of the
-simulated EMSE across runs.
+simulated EMSE, or of a window's mean squared error, across runs.
 """
 
 import numpy as np
@@ -29,6 +37,7 @@ RUNS, ITERATIONS = 1000, 3000
 # the closed forms' own tolerances, before the sampling error is added
 MODEL_TOLERANCE = 0.02
 WISHART_TOLERANCE = 0.10
+CURVE_TOLERANCE = 0.10
 H = design_highpass_fir(13, 0.4)  # the bundled white config's plant
 L = H.shape[0]
 
@@ -71,3 +80,68 @@ def test_projection_steady_state_emse_at_unit_step_matches_the_wishart_form(kind
                                 projection_order=order)
     _assert_steady_state_emse(algorithm, mu * SIGMA_V**2 / (2 - mu) * L / (L - order - 1),
                               WISHART_TOLERANCE)
+
+
+def _lms_squared_errors(noise, mu, iterations, runs, base_seed):
+    """Each run's squared a-priori errors, (runs, iterations), of LMS on H from zero weights."""
+    config = ExperimentConfig(
+        plant=PlantModel(h=H, measurement_noise_sigma=SIGMA_V),
+        algorithm=AlgorithmConfig(AlgorithmKind.LMS, filter_length=L, mu=mu),
+        noise=noise,
+        iterations=iterations,
+        ensemble_runs=runs,
+        base_seed=base_seed,
+    )
+    return np.array([run.mse_trace for run in run_ensemble(config).runs])
+
+
+def _independence_recursion(eigenvalues, k, mu, iterations, filling=False):
+    """J(n) of the independence recursion; ``filling``: mode i starts at n = i.
+
+    A filling tap line holds tap i only from n = i on: before that the tap
+    neither adapts nor adds to J, as if its eigenvalue were 0. That models
+    white input, whose eigenvectors are the taps.
+    """
+    curve = np.empty(iterations)
+    for n in range(iterations):
+        lam = eigenvalues * (np.arange(L) <= n) if filling else eigenvalues
+        excess = lam @ k
+        curve[n] = SIGMA_V**2 + excess
+        k = k * (1 - 2 * mu * lam + 2 * mu**2 * lam**2) + mu**2 * lam * (excess + SIGMA_V**2)
+    return curve
+
+
+def _assert_windows_match(squared_errors, theory, edges):
+    misses = []
+    for start, stop in zip(edges, edges[1:]):
+        per_run = squared_errors[:, start:stop].mean(axis=1)
+        expected = theory[start:stop].mean()
+        ratio = per_run.mean() / expected
+        band = CURVE_TOLERANCE + 3 * per_run.std(ddof=1) / np.sqrt(len(per_run)) / expected
+        if abs(ratio - 1) > band:
+            misses.append(f"n {start}-{stop}: ratio {ratio:.4f}, band {band:.4f}")
+    assert not misses, misses
+
+
+def test_lms_learning_curve_on_colored_input_matches_the_independence_recursion():
+    # the bundled colored config's plant, input and LMS step size
+    a, mu, iterations = 0.9, 0.002, 2000
+    autocorrelation = a ** np.abs(np.subtract.outer(np.arange(L), np.arange(L))) / (1 - a**2)
+    eigenvalues, eigenvectors = np.linalg.eigh(autocorrelation)
+    theory = _independence_recursion(eigenvalues, (eigenvectors.T @ H) ** 2, mu, iterations)
+    squared_errors = _lms_squared_errors(
+        NoiseSpec(NoiseKind.AR1_COLORED, sigma=1.0, ar_coefficient=a), mu, iterations,
+        runs=2000, base_seed=7)
+    # the theory's input is stationary from n = 0, but the AR(1) recursion and
+    # the tap line both start from zero; by n = 100 the input's variance is
+    # within a^202 < 1e-9 (relative) of stationary, and the tap line is full
+    _assert_windows_match(squared_errors, theory, [100, 300, 700, 1200, 2000])
+
+
+@pytest.mark.parametrize("mu", [0.005, 0.01])
+def test_lms_learning_curve_on_white_input_matches_the_filling_recursion(mu):
+    iterations = 1500
+    theory = _independence_recursion(np.ones(L), H**2, mu, iterations, filling=True)
+    squared_errors = _lms_squared_errors(NoiseSpec(NoiseKind.WHITE, sigma=1.0), mu, iterations,
+                                         runs=2000, base_seed=7)
+    _assert_windows_match(squared_errors, theory, [0, 100, 300, 700, 1500])
