@@ -70,6 +70,9 @@ class ExperimentFile:
     description: str = ""
 
     def __post_init__(self):
+        if not np.linalg.norm(self.plant.h) > 0:
+            raise ConfigError("plant coefficients must have a nonzero norm, as misalignment "
+                              "is relative to it")
         if self.smoothing_window < 1:
             raise ConfigError("smoothing_window must be >= 1")
         if not self.tm_slack_db >= 0:
@@ -400,7 +403,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (AdaptationError, ArithmeticError, OSError) as exc:
+    except (AdaptationError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

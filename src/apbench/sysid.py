@@ -214,11 +214,13 @@ def _adapt_sweep(config: ExperimentConfig, run_indices: range, delta: float,
     is adapted together with the scope's LMS variants ahead of it that share
     its filter length: one batch (V, *B) on its signals with a µ column. The
     others' results are stored by signals key and algorithm until their own
-    calls take them; a call on other signals adapts alone.
+    calls take them; a call on other signals, or while run_single is
+    replaced (a tracer), adapts alone.
     """
     algo = config.algorithm
     sweeps = _SWEEPS.get()
-    if sweeps is None or algo.kind is not AlgorithmKind.LMS:
+    if (sweeps is None or algo.kind is not AlgorithmKind.LMS
+            or run_single is not _library_run_single):
         return _adapt(algo, delta, x, d)
     ahead, adapted = sweeps
     key = (_signals_key(config, run_indices), algo)
@@ -242,8 +244,7 @@ def _adapt_sweep(config: ExperimentConfig, run_indices: range, delta: float,
     return (errors[:, 0], *(r[0] for r in rest))
 
 
-def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray,
-           via_lms_step: bool = False, mu=None):
+def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray, mu=None):
     """The adaptation loop: every member of a batch, one time step at a time.
 
     ``d`` holds each member's desired signal, shape (*B, T), and ``x`` its
@@ -251,8 +252,7 @@ def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray,
     axis V. Weights start at zero; each iteration pushes one input sample
     and performs one step of the configured algorithm for all members.
     The LMS step size ``mu`` is algo.mu, or a column (V, 1, …) with one per
-    member of that axis. With ``via_lms_step`` (B = () only) an LMS
-    iteration calls the public lms_step, which performs the same operations.
+    member of that axis.
 
     Returns the a-priori errors (T, *B), the final weights (*B, L) and, per
     member, the iteration at which its projection step failed (-1 if never)
@@ -272,15 +272,14 @@ def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray,
     # non-finite values are reported as divergence once the loop has ended
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if algo.kind is AlgorithmKind.LMS:
-            w = _lms_loop(algo.mu if mu is None else mu, regressors, d, w, errors,
-                          via_lms_step)
+            w = _lms_loop(algo.mu if mu is None else mu, regressors, d, w, errors)
         else:
-            w = _projection_loop(algo, delta, regressors, d, errors, failed_at, inexact)
+            w = _projection_loop(algo, delta, regressors, d, w, errors, failed_at, inexact)
     return errors, w, failed_at, inexact
 
 
 def _lms_loop(mu, regressors: np.ndarray, d: np.ndarray, w: np.ndarray,
-              errors: np.ndarray, via_lms_step: bool) -> np.ndarray:
+              errors: np.ndarray) -> np.ndarray:
     """All T iterations of LMS for a batch; returns the final weights.
 
     One in-place kernel serves one member and a batch: mu*e goes into
@@ -290,8 +289,10 @@ def _lms_loop(mu, regressors: np.ndarray, d: np.ndarray, w: np.ndarray,
     lms_update's, so the results are bit-identical to it. The desired
     samples are read from the array, not from a list of it: a list costs
     about 32 bytes per sample, which raises the peak memory of a long run.
+    While run_single is replaced (a tracer), each run adapts alone and steps
+    through lms_step at this module's attribute, with the same operations.
     """
-    if via_lms_step:
+    if run_single is not _library_run_single:
         for n, (x, d_n) in enumerate(zip(regressors, d)):
             w, out = lms_step(w, x, d_n, mu)
             errors[n] = out.error_e
@@ -308,7 +309,7 @@ def _lms_loop(mu, regressors: np.ndarray, d: np.ndarray, w: np.ndarray,
 
 
 def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray,
-                     d: np.ndarray, errors: np.ndarray, failed_at: np.ndarray,
+                     d: np.ndarray, w: np.ndarray, errors: np.ndarray, failed_at: np.ndarray,
                      inexact: np.ndarray) -> np.ndarray:
     """All T iterations of BNDR-LMS or R-AP for a batch; returns the final weights.
 
@@ -341,7 +342,6 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
     d_rows = np.moveaxis(sliding_window_view(dp, N, axis=-1)[..., ::-1], -2, 0)
     auto = algo.mu_mode is MuMode.AUTO_NORMALIZED
     warmup = N + L - 2  # rows are not fully populated before this
-    w = np.zeros(batch + (L,))
     starts = list(range(min(N - 1, T))) + list(range(N - 1, T, PROJECTION_BLOCK))
     fixed_mus = [algo.mu] * PROJECTION_BLOCK
     for start, stop in zip(starts, starts[1:] + [T]):
@@ -425,8 +425,7 @@ def _shed_rows(w, X, d_vec, mu, delta, stuck, short, w_new) -> np.ndarray:
     return stuck
 
 
-def _run(config: ExperimentConfig, run_indices: range,
-         via_lms_step: bool = False) -> tuple[np.ndarray, tuple[RunResult, ...]]:
+def _run(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, tuple[RunResult, ...]]:
     """Adapt the given runs together; a single run is adapted unbatched.
 
     Returns the squared errors (R, T), whose rows are the runs' mse_trace,
@@ -441,8 +440,7 @@ def _run(config: ExperimentConfig, run_indices: range,
     L, T = algo.filter_length, config.iterations
     x, d = _signals(config, run_indices)
     delta = algo.resolved_delta(input_variance(config.noise))
-    errors, w, failed_at, inexact = _adapt(algo, delta, x, d, via_lms_step) if via_lms_step \
-        else _adapt_sweep(config, run_indices, delta, x, d)
+    errors, w, failed_at, inexact = _adapt_sweep(config, run_indices, delta, x, d)
 
     errors = np.ascontiguousarray(errors.reshape(T, -1).T)
     w = w.reshape(-1, L)
@@ -474,10 +472,8 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunResult:
 
     This is the batched adaptation loop at batch shape (): its results are
     bit-identical to member ``run_index`` of any ensemble that contains it.
-    Its LMS iterations call the public lms_step, looked up at this module's
-    attribute, so a wrapper installed there (a tracer) sees every step.
     """
-    return _run(config, range(run_index, run_index + 1), via_lms_step=True)[1][0]
+    return _run(config, range(run_index, run_index + 1))[1][0]
 
 
 _library_run_single = run_single

@@ -98,6 +98,12 @@ class TestDesignCommand:
     def test_bad_cutoff_is_validation_error(self):
         assert main(["design", "13", "1.5"]) == 1
 
+    def test_a_tap_count_numpy_cannot_allocate_is_a_runtime_failure(self, capsys):
+        # its half-length index array alone is 3.47 EiB, which numpy refuses at once
+        assert main(["design", str(10**18 + 1), "0.4"]) == 2
+        assert re.fullmatch(r"runtime error: Unable to allocate 3\.47 EiB .*\n",
+                            capsys.readouterr().err)
+
 
 def test_help_states_the_user_contract_not_the_writer(capsys):
     with pytest.raises(SystemExit) as exit_:
@@ -252,6 +258,27 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "iteration" in err
+
+    def test_an_allocation_numpy_refuses_is_a_runtime_failure(self, tmp_path, capsys):
+        # one run's 10**18 input samples are 6.94 EiB, which numpy refuses at once
+        out = tmp_path / "out"
+        config = _tiny_config(out, iterations=10**18, ensemble_runs=1)
+        config["algorithms"] = config["algorithms"][:1]
+        assert main(["run", str(_write_config(tmp_path, config))]) == 2
+        assert re.fullmatch(r"runtime error: Unable to allocate 6\.94 EiB .*\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_an_all_zero_plant_is_rejected_for_files_and_replaced_specs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = _write_config(tmp_path, _tiny_config(out, plant={"coefficients": [0.0, -0.0]}))
+        message = "plant coefficients must have a nonzero norm, as misalignment is relative to it"
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        spec = load_experiment_file(_write_config(tmp_path, _tiny_config(out), "ok.json"))
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            dataclasses.replace(spec, plant=PlantModel(h=[0.0]))
 
     def test_noise_seed_key_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"

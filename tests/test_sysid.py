@@ -352,6 +352,20 @@ class TestRunEnsemble:
         for a, b in zip(wrapped.runs, batched.runs):
             assert np.array_equal(a.final_weights, b.final_weights)
 
+    def test_untraced_run_single_adapts_in_place_without_lms_step(self, monkeypatch):
+        # only run_single replaced switches to the traced route; lms_step alone does not
+        algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=4, mu=0.05)
+        config = _config(algo, [1.0, 0.3], iterations=60, runs=3, meas_sigma=0.01)
+        members = run_ensemble(config).runs
+        calls = []
+        lms_step = sysid.lms_step
+        monkeypatch.setattr(sysid, "lms_step", lambda *args: calls.append(1) or lms_step(*args))
+        for r, member in enumerate(members):
+            single = run_single(config, r)
+            assert single.mse_trace.tobytes() == member.mse_trace.tobytes()
+            assert single.final_weights.tobytes() == member.final_weights.tobytes()
+        assert calls == []
+
     def test_max_workers_below_one_rejected(self):
         algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=4, mu=0.05)
         with pytest.raises(ValueError, match="max_workers"):
