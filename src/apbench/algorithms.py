@@ -21,7 +21,7 @@ import numpy as np
 from .linalg import SingularMatrixError, residual_error, singular_error, solve_stacked
 # not called here; it stays a module attribute for code that looks it up or wraps it here
 from .linalg import solve_regularized  # noqa: F401
-from .signals import TapDelayLine
+from .signals import TapDelayLine, _check_count
 
 __all__ = [
     "AlgorithmKind",
@@ -104,6 +104,7 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.filter_length < 1:
             raise ValueError(f"filter_length must be >= 1, got {self.filter_length}")
+        _check_count("filter_length", self.filter_length)
         if self.mu is not None and not self.mu > 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
         if self.kind not in KIND_RULES:
@@ -119,6 +120,7 @@ class AlgorithmConfig:
             raise ValueError(f"{name} requires projection_order == {rules.projection_order}")
         if self.projection_order < 1:
             raise ValueError(f"projection_order must be >= 1, got {self.projection_order}")
+        _check_count("projection_order", self.projection_order)
         _default("mu_mode", rules.mu_mode)
         if not rules.auto_allowed and self.mu_mode is not MuMode.FIXED:
             raise ValueError(f"{name} uses a fixed step size; auto normalization is not valid")

@@ -29,7 +29,7 @@ from . import selftest as selftest_mod
 from .algorithms import AlgorithmConfig, AlgorithmKind, MuMode, step_multiplies_literal
 from .artifacts import write_artifacts
 from .metrics import TmReport, compute_tm, misalignment_db, smooth
-from .signals import NoiseKind, NoiseSpec, design_highpass_fir
+from .signals import NoiseKind, NoiseSpec, _check_count, design_highpass_fir
 from .sysid import (AdaptationError, EnsembleResult, ExperimentConfig, PlantModel,
                     _shared_signals, run_ensemble)
 
@@ -79,6 +79,13 @@ class ExperimentFile:
             raise ConfigError("tm_slack_db must be >= 0")
         if self.freq_points < 2:
             raise ConfigError("freq_points must be >= 2")
+        # every variant's full experiment is validated before any run starts
+        try:
+            _check_count("freq_points", self.freq_points)
+            for _, algo in self.variants:
+                self.experiment_config(algo)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid experiment file: {exc}") from exc
 
     def experiment_config(self, algorithm: AlgorithmConfig) -> ExperimentConfig:
         return ExperimentConfig(
@@ -268,28 +275,19 @@ def load_experiment_file(path: Path) -> ExperimentFile:
     if len(set(names)) != len(names):
         raise ConfigError("algorithm variant names must be unique")
 
-    try:
-        spec = ExperimentFile(
-            plant=plant,
-            noise=noise,
-            iterations=_int(fields["iterations"], "iterations"),
-            ensemble_runs=_int(fields["ensemble_runs"], "ensemble_runs"),
-            base_seed=_int(fields["base_seed"], "base_seed"),
-            variants=variants,
-            output_dir=_text(fields["output_dir"], "output_dir"),
-            smoothing_window=_int(fields["smoothing_window"], "smoothing_window"),
-            tm_slack_db=_float(fields["tm_slack_db"], "tm_slack_db"),
-            freq_points=_int(fields["freq_points"], "freq_points"),
-            description=_text(fields["description"], "description"),
-        )
-        # validate every variant's full experiment before any run starts
-        for _, algo in spec.variants:
-            spec.experiment_config(algo)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid experiment file: {exc}") from exc
-    return spec
+    return ExperimentFile(
+        plant=plant,
+        noise=noise,
+        iterations=_int(fields["iterations"], "iterations"),
+        ensemble_runs=_int(fields["ensemble_runs"], "ensemble_runs"),
+        base_seed=_int(fields["base_seed"], "base_seed"),
+        variants=variants,
+        output_dir=_text(fields["output_dir"], "output_dir"),
+        smoothing_window=_int(fields["smoothing_window"], "smoothing_window"),
+        tm_slack_db=_float(fields["tm_slack_db"], "tm_slack_db"),
+        freq_points=_int(fields["freq_points"], "freq_points"),
+        description=_text(fields["description"], "description"),
+    )
 
 
 def resolve_config_path(name: str) -> Path:

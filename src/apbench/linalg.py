@@ -53,33 +53,6 @@ def _largest(values):
     return functools.reduce(np.maximum, values)
 
 
-def _cholesky(a: list, n: int) -> tuple[list, object]:
-    """Lower Cholesky factor of ``a``, column by column, with a relative pivot check.
-
-    Returns (chol, singular). A member whose pivot falls to PIVOT_RTOL times
-    its own largest diagonal entry or below is flagged singular; its factor
-    is finished with unit pivots and must not be used.
-    """
-    tol = PIVOT_RTOL * _largest([a[j][j] for j in range(n)])
-    chol = [[0.0] * (i + 1) for i in range(n)]
-    singular = False
-    for j in range(n):
-        row_j = chol[j]
-        d = a[j][j]
-        for k in range(j):
-            d = d - row_j[k] * row_j[k]
-        bad = d <= tol
-        singular = singular | bad
-        row_j[j] = dj = np.sqrt(np.where(bad, 1.0, d))
-        for i in range(j + 1, n):
-            row_i = chol[i]
-            s = a[i][j]
-            for k in range(j):
-                s = s - row_i[k] * row_j[k]
-            row_i[j] = s / dj
-    return chol, singular
-
-
 def _substitute(chol: list, b: list, n: int) -> list:
     """Solve L L^T x = b, with L given as the rows of its lower triangle."""
     y = [0.0] * n
@@ -118,18 +91,38 @@ def _residual_norm(a: list, x: list, b: list, n: int, held) -> tuple[list, objec
 
 
 def _factor(a: list, n: int, delta: float) -> tuple[list, object]:
-    """Cholesky factor of the entry lists ``a`` + delta*I: (chol, singular).
+    """Lower Cholesky factor of the entry lists ``a`` + delta*I: (chol, singular).
 
     ``a`` is the Gram matrix as n rows of n entries, arrays or scalars over
     the stack; its diagonal receives delta in place, so that ``a`` is
     the regularized matrix that _solve_factored measures residuals against.
     The factor depends on the matrix alone, so one factorization serves
-    every right-hand side solved against it.
+    every right-hand side solved against it. It is built column by column
+    with a relative pivot check: a member whose pivot falls to PIVOT_RTOL
+    times its own largest diagonal entry or below is flagged singular; its
+    factor is finished with unit pivots and must not be used.
     """
     if delta:
         for i in range(n):
             a[i][i] = a[i][i] + delta
-    return _cholesky(a, n)
+    tol = PIVOT_RTOL * _largest([a[j][j] for j in range(n)])
+    chol = [[0.0] * (i + 1) for i in range(n)]
+    singular = False
+    for j in range(n):
+        row_j = chol[j]
+        d = a[j][j]
+        for k in range(j):
+            d = d - row_j[k] * row_j[k]
+        bad = d <= tol
+        singular = singular | bad
+        row_j[j] = dj = np.sqrt(np.where(bad, 1.0, d))
+        for i in range(j + 1, n):
+            row_i = chol[i]
+            s = a[i][j]
+            for k in range(j):
+                s = s - row_i[k] * row_j[k]
+            row_i[j] = s / dj
+    return chol, singular
 
 
 def _solve_factored(a: list, chol: list, b: list, n: int, held) -> tuple[list, object]:

@@ -33,6 +33,15 @@ FREQ_BLOCK_ROWS = 1024
 
 _SEED_MASK = (1 << 64) - 1
 
+# the most float64 elements numpy can describe in one array: it refuses a
+# longer one outright, so a count above it fails validation instead
+MAX_COUNT = np.iinfo(np.intp).max // 8
+
+
+def _check_count(name: str, count: int) -> None:
+    if count > MAX_COUNT:
+        raise ValueError(f"{name} must be at most {MAX_COUNT}, got {count}")
+
 
 class TapDelayLine:
     """Fixed-length shift register holding the most recent input samples.
@@ -157,6 +166,7 @@ def design_highpass_fir(num_taps: int, cutoff_fn: float) -> np.ndarray:
     """
     if num_taps < 1 or num_taps % 2 == 0:
         raise ValueError(f"num_taps must be an odd positive integer, got {num_taps}")
+    _check_count("num_taps", num_taps)
     if not 0.0 < cutoff_fn < 1.0:
         raise ValueError(f"cutoff_fn must lie in (0, 1), got {cutoff_fn}")
     if num_taps == 1:

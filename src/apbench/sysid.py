@@ -29,7 +29,8 @@ from .algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, _ap_correct, _a
 from .algorithms import ap_step  # noqa: F401
 from .linalg import residual_error, singular_error
 from .metrics import MSE_FLOOR, MseTrace
-from .signals import NoiseKind, NoiseSpec, generate_noise, input_variance
+from .signals import (_SEED_MASK, NoiseKind, NoiseSpec, _check_count, generate_noise,
+                      input_variance)
 
 __all__ = [
     "PlantModel",
@@ -42,7 +43,6 @@ __all__ = [
     "MEASUREMENT_STREAM_SALT",
 ]
 
-_SEED_MASK = (1 << 64) - 1
 # XORed into the per-run seed to decorrelate measurement noise from the input
 MEASUREMENT_STREAM_SALT = 0x9E3779B97F4A7C15
 
@@ -51,11 +51,10 @@ MEASUREMENT_STREAM_SALT = 0x9E3779B97F4A7C15
 # stability range mu in (0, 2)
 AUTO_MU_CAP = 1.0
 
-# the signals built in the open _shared_signals scope, by key; None outside one
-_SHARED_SIGNALS: ContextVar[dict | None] = ContextVar("shared_signals", default=None)
-# the open _shared_signals scope's LMS variants not adapted yet, and the
-# results stored for them by (signals key, algorithm); None outside one
-_SWEEPS: ContextVar[tuple[list, dict] | None] = ContextVar("sweeps", default=None)
+# the open _shared_signals scope: each LMS variant's sweep, and a memo of the
+# signals by key and of each sweep's results by (signals key, sweep); None
+# outside one
+_SCOPE: ContextVar[tuple[dict, dict] | None] = ContextVar("scope", default=None)
 
 # projection steps whose Gram matrices are built and factored together: long
 # enough to spread the per-block numpy calls, short enough that a block's
@@ -107,6 +106,11 @@ class ExperimentConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.ensemble_runs < 1:
             raise ValueError(f"ensemble_runs must be >= 1, got {self.ensemble_runs}")
+        algo = self.algorithm
+        _check_count("iterations", self.iterations)
+        # _adapt pads the input with N + L - 2 leading zeros
+        _check_count("iterations + projection_order + filter_length - 2",
+                     self.iterations + algo.projection_order + algo.filter_length - 2)
         if not 0 <= self.base_seed <= _SEED_MASK:
             raise ValueError(f"base_seed must be an unsigned 64-bit integer, got {self.base_seed}")
         if self.algorithm.filter_length < self.plant.length:
@@ -115,7 +119,6 @@ class ExperimentConfig:
                 f"plant ({self.plant.length} taps): the plant cannot be identified exactly",
                 stacklevel=3,
             )
-        algo = self.algorithm
         if algo.kind is AlgorithmKind.LMS:
             # 2/(L Var(x)) = 2/tr(R) is the classic LMS step-size stability bound
             trace_r = algo.filter_length * input_variance(self.noise)
@@ -163,21 +166,19 @@ def _member_signals(config: ExperimentConfig, run_index: int) -> tuple[np.ndarra
 def _shared_signals(algorithms=()):
     """A scope in which every ensemble's signals are built once and shared.
 
-    Inside it, _signals returns the arrays it built before for an equal key,
-    read-only, so that configs differing only in their algorithm adapt on the
-    same arrays. ``algorithms`` are the variants the scope will run, in
-    order; their LMS µ sweeps adapt in one loop each (_adapt_sweep). Leaving
-    the scope, also by an exception, drops the signals and the stored
-    results. A scope opened inside another starts empty and restores the
-    outer one on leaving.
+    Inside it, _signals returns the same read-only arrays for an equal key.
+    ``algorithms`` are the variants the scope will run. An LMS variant's
+    sweep is the scope's LMS variants of its filter length, in scope order.
+    Leaving the scope, also by an exception, drops the memo. A scope opened
+    inside another starts empty and restores the outer one on leaving.
     """
-    token = _SHARED_SIGNALS.set({})
-    sweeps = _SWEEPS.set(([a for a in algorithms if a.kind is AlgorithmKind.LMS], {}))
+    lms = [a for a in algorithms if a.kind is AlgorithmKind.LMS]
+    sweeps = {a: tuple(b for b in lms if b.filter_length == a.filter_length) for a in lms}
+    token = _SCOPE.set((sweeps, {}))
     try:
         yield
     finally:
-        _SWEEPS.reset(sweeps)
-        _SHARED_SIGNALS.reset(token)
+        _SCOPE.reset(token)
 
 
 def _signals_key(config: ExperimentConfig, run_indices: range) -> tuple:
@@ -192,56 +193,47 @@ def _signals_key(config: ExperimentConfig, run_indices: range) -> tuple:
 
 def _signals(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, np.ndarray]:
     """Inputs x and desired responses d of the runs, (*B, T) each, B = () for one run."""
-    shared = _SHARED_SIGNALS.get()
-    if shared is not None:
+    _, memo = _SCOPE.get() or ({}, None)
+    if memo is not None:
         key = _signals_key(config, run_indices)
-        if key in shared:
-            return shared[key]
+        if key in memo:
+            return memo[key]
     signals = [_member_signals(config, r) for r in run_indices]
     x, d = signals[0] if len(signals) == 1 else (np.stack(s) for s in zip(*signals))
-    if shared is not None:
+    if memo is not None:
         # an in-place edit by one variant would otherwise reach the next
         x.flags.writeable = d.flags.writeable = False
-        shared[key] = x, d
+        memo[key] = x, d
     return x, d
 
 
 def _adapt_sweep(config: ExperimentConfig, run_indices: range, delta: float,
                  x: np.ndarray, d: np.ndarray):
-    """_adapt's results for ``config``; in a scope, its LMS µ sweep adapts at once.
+    """_adapt's results for ``config``; in a scope, its slice of its LMS µ sweep.
 
-    In a _shared_signals scope, an LMS variant whose results are not stored
-    is adapted together with the scope's LMS variants ahead of it that share
-    its filter length: one batch (V, *B) on its signals with a µ column. The
-    others' results are stored by signals key and algorithm until their own
-    calls take them; a call on other signals, or while run_single is
-    replaced (a tracer), adapts alone.
+    The first call of any variant of a sweep adapts the whole sweep on its
+    signals, one batch (V, *B) with a µ column in scope order, and memoizes
+    it; each call takes its own slice, and the last one drops the batch. A
+    variant alone in its sweep, or any call while run_single is replaced (a
+    tracer), adapts alone.
     """
     algo = config.algorithm
-    sweeps = _SWEEPS.get()
-    if (sweeps is None or algo.kind is not AlgorithmKind.LMS
-            or run_single is not _library_run_single):
+    sweeps, memo = _SCOPE.get() or ({}, None)
+    sweep = sweeps.get(algo, ())
+    if len(sweep) < 2 or run_single is not _library_run_single:
         return _adapt(algo, delta, x, d)
-    ahead, adapted = sweeps
-    key = (_signals_key(config, run_indices), algo)
-    if key in adapted:
-        stored = adapted[key]
-        if len(stored) == 1:
-            del adapted[key]
-        return stored.pop(0)
-    if algo in ahead:
-        ahead.remove(algo)
-    group = [algo] + [a for a in ahead if a.filter_length == algo.filter_length]
-    if len(group) == 1:
-        return _adapt(algo, delta, x, d)
-    for a in group[1:]:
-        ahead.remove(a)
-    # a µ column: one per member of the leading axis, broadcast over the runs
-    mu = np.array([a.mu for a in group]).reshape((-1,) + (1,) * (x.ndim - 1))
-    errors, *rest = _adapt(algo, delta, x, np.broadcast_to(d, (len(group),) + d.shape), mu=mu)
-    for v, a in enumerate(group[1:], 1):
-        adapted.setdefault((key[0], a), []).append((errors[:, v], *(r[v] for r in rest)))
-    return (errors[:, 0], *(r[0] for r in rest))
+    key = (_signals_key(config, run_indices), sweep)
+    if key not in memo:
+        # a µ column: one per member of the leading axis, broadcast over the runs
+        mu = np.array([a.mu for a in sweep]).reshape((-1,) + (1,) * (x.ndim - 1))
+        d = np.broadcast_to(d, (len(sweep),) + d.shape)
+        memo[key] = [_adapt(algo, delta, x, d, mu=mu), len(sweep)]
+    record = memo[key]
+    record[1] -= 1
+    if not record[1]:
+        del memo[key]
+    (errors, *rest), v = record[0], sweep.index(algo)
+    return (errors[:, v], *(r[v] for r in rest))
 
 
 def _adapt(algo: AlgorithmConfig, delta: float, x: np.ndarray, d: np.ndarray, mu=None):

@@ -31,7 +31,8 @@ from apbench.cli import (
     write_artifacts,
 )
 from apbench.metrics import MseTrace, TmReport
-from apbench.signals import NoiseKind, NoiseSpec, design_highpass_fir, frequency_response
+from apbench.signals import (MAX_COUNT, NoiseKind, NoiseSpec, design_highpass_fir,
+                             frequency_response)
 from apbench.sysid import AdaptationError, EnsembleResult, PlantModel, RunResult, run_ensemble
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(apbench.linalg.__file__)))
@@ -268,6 +269,36 @@ class TestRunCommand:
         assert re.fullmatch(r"runtime error: Unable to allocate 6\.94 EiB .*\n",
                             capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit, field, replaced", [
+        ({"iterations": 2**61}, "iterations", {"iterations": 2**61}),
+        ({"freq_points": 2**61}, "freq_points", {"freq_points": 2**61}),
+        ({"algorithms": [{"name": "r_ap", "kind": "r_ap", "filter_length": 2**61}]},
+         "filter_length", None),
+        ({"algorithms": [{"name": "r_ap", "kind": "r_ap", "filter_length": 7,
+                          "projection_order": 2**61}]}, "projection_order", None),
+        # every term is within the limit, the zero-padded input is not
+        ({"algorithms": [{"name": "r_ap", "kind": "r_ap", "filter_length": 2**59 + 1,
+                          "projection_order": 2**59 + 1}]},
+         "iterations + projection_order + filter_length - 2", {"iterations": MAX_COUNT}),
+        ({"plant": {"design": {"num_taps": 2**61 + 1, "cutoff_fn": 0.4}}}, "num_taps", None),
+        (["design", str(2**61 + 1), "0.4"], "num_taps", None),
+    ], ids=["iterations", "freq_points", "filter_length", "projection_order", "padded_input",
+            "plant_num_taps", "design_num_taps"])
+    def test_a_count_numpy_cannot_describe_fails_validation(self, tmp_path, capsys, edit, field,
+                                                           replaced):
+        # numpy refuses a float64 array of more than MAX_COUNT elements without allocating
+        out = tmp_path / "out"
+        argv = edit if isinstance(edit, list) else \
+            ["run", str(_write_config(tmp_path, _tiny_config(out, **edit)))]
+        message = rf"{re.escape(field)} must be at most {MAX_COUNT}, got \d+"
+        assert main(argv) == 1
+        assert re.fullmatch(rf"error: [^\n]*{message}\n", capsys.readouterr().err)
+        assert not out.exists()
+        if replaced is not None:  # dataclasses.replace cannot bypass the limit
+            spec = load_experiment_file(_write_config(tmp_path, _tiny_config(out), "ok.json"))
+            with pytest.raises(ConfigError, match=message):
+                dataclasses.replace(spec, **replaced)
 
     def test_an_all_zero_plant_is_rejected_for_files_and_replaced_specs(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -615,7 +646,7 @@ def test_a_files_signals_are_dropped_when_it_ends(fails, tmp_path, monkeypatch):
     else:
         assert not fails
     assert len(built) == 2 * len(spec.variants)
-    assert sysid._SHARED_SIGNALS.get() is None
+    assert sysid._SCOPE.get() is None
     gc.collect()
     assert all(ref() is None for ref in built)
 
@@ -692,6 +723,28 @@ def test_a_mixed_file_adapts_only_its_lms_variants_of_one_length_together(tmp_pa
                      (AlgorithmKind.BNDR_LMS, 7, None, (4,))]
     for res, ensemble in zip(results, expected, strict=True):
         _assert_same_ensemble(res.ensemble, ensemble)
+
+
+def test_a_sweeps_mu_column_is_in_scope_order_whichever_variant_runs_first(tmp_path,
+                                                                          monkeypatch):
+    config = _tiny_config(tmp_path / "out", plant={"design": {"num_taps": 5, "cutoff_fn": 0.5}})
+    config["algorithms"] = [
+        {"name": "lms_a", "kind": "lms", "filter_length": 7, "mu": 0.05},
+        {"name": "lms_short", "kind": "lms", "filter_length": 5, "mu": 0.05},
+        {"name": "bndr_lms", "kind": "bndr_lms", "filter_length": 7, "mu_mode": "fixed",
+         "mu": 1.0},
+        {"name": "lms_b", "kind": "lms", "filter_length": 7, "mu": 0.02},
+    ]
+    spec = load_experiment_file(_write_config(tmp_path, config))
+    expected = _unscoped(spec)
+    calls = _record_adapt(monkeypatch)
+    lms_a, _, _, lms_b = (algo for _, algo in spec.variants)
+    with sysid._shared_signals([algo for _, algo in spec.variants]):
+        got_b = run_ensemble(spec.experiment_config(lms_b))
+        got_a = run_ensemble(spec.experiment_config(lms_a))
+    assert calls == [(AlgorithmKind.LMS, 7, [0.05, 0.02], (2, 4))]
+    _assert_same_ensemble(got_a, expected[0])
+    _assert_same_ensemble(got_b, expected[3])
 
 
 @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
@@ -783,7 +836,7 @@ def test_a_sweeps_stored_results_are_dropped_once_taken(fails, tmp_path, monkeyp
             assert fails
         else:
             assert not fails and len(results) == 4
-    assert sysid._SWEEPS.get() is None
+    assert sysid._SCOPE.get() is None
     gc.collect()
     assert len(sweep_errors) == 1 and sweep_errors[0]() is None
 

@@ -228,7 +228,7 @@ class TestRunEnsemble:
         assert np.array_equal(ens.trace.values_db, expected)
 
     def test_one_run_lms_loop_equals_the_public_step_bit_for_bit(self):
-        # a one-run ensemble adapts in place; run_single steps through lms_step
+        # a one-run ensemble and run_single run the same in-place kernel, not lms_step
         algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=6, mu=0.05)
         config = _config(algo, [1.0, -0.4, 0.2], iterations=300, runs=1, meas_sigma=0.01)
         member = run_ensemble(config).runs[0]
@@ -431,15 +431,15 @@ class TestSharedSignals:
         assert all(a.flags.writeable for a in sysid._signals(config, runs))
 
     def test_the_scope_is_dropped_on_leaving_it_also_by_an_exception(self):
-        assert sysid._SHARED_SIGNALS.get() is None
+        assert sysid._SCOPE.get() is None
         with pytest.raises(KeyError):
             with sysid._shared_signals():
                 with sysid._shared_signals():  # an inner scope starts empty
-                    assert sysid._SHARED_SIGNALS.get() == {}
+                    assert sysid._SCOPE.get() == ({}, {})
                     sysid._signals(_signal_config(), range(3))
-                assert sysid._SHARED_SIGNALS.get() == {}
+                assert sysid._SCOPE.get() == ({}, {})
                 raise KeyError
-        assert sysid._SHARED_SIGNALS.get() is None
+        assert sysid._SCOPE.get() is None
 
 
 @pytest.mark.parametrize("L", [13, 64])
