@@ -102,8 +102,6 @@ class AlgorithmConfig:
     normalization_order: int | None = None
 
     def __post_init__(self):
-        if self.filter_length < 1:
-            raise ValueError(f"filter_length must be >= 1, got {self.filter_length}")
         _check_count("filter_length", self.filter_length)
         if self.mu is not None and not self.mu > 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
@@ -118,8 +116,6 @@ class AlgorithmConfig:
         _default("projection_order", rules.projection_order)
         if rules.order_pinned and self.projection_order != rules.projection_order:
             raise ValueError(f"{name} requires projection_order == {rules.projection_order}")
-        if self.projection_order < 1:
-            raise ValueError(f"projection_order must be >= 1, got {self.projection_order}")
         _check_count("projection_order", self.projection_order)
         _default("mu_mode", rules.mu_mode)
         if not rules.auto_allowed and self.mu_mode is not MuMode.FIXED:
@@ -136,8 +132,8 @@ class AlgorithmConfig:
 
         if self.mu_mode is MuMode.FIXED and self.mu is None:
             raise ValueError("mu is required when mu_mode is FIXED")
-        if self.normalization_order is not None and self.normalization_order < 1:
-            raise ValueError(f"normalization_order must be >= 1, got {self.normalization_order}")
+        if self.normalization_order is not None:
+            _check_count("normalization_order", self.normalization_order)
 
     def resolved_delta(self, input_var: float) -> float:
         """Regularization constant actually used for a given input variance."""
@@ -166,10 +162,8 @@ class DataMatrix:
     __slots__ = ("_rows",)
 
     def __init__(self, order: int, filter_length: int):
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
-        if filter_length < 1:
-            raise ValueError(f"filter_length must be >= 1, got {filter_length}")
+        _check_count("order", order)
+        _check_count("filter_length", filter_length)
         self._rows = np.zeros((order, filter_length))
 
     @property
@@ -315,8 +309,7 @@ def auto_mu(x, order: int) -> float:
     Order 1 gives the full normalized step of the two-direction algorithm;
     higher orders follow the projection-order-scaled prescription.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    _check_count("order", order)
     xv = _as_vector(x)
     n2 = float(xv @ xv)
     if n2 == 0.0:
@@ -346,8 +339,7 @@ def step_multiplies(kind: AlgorithmKind, filter_length: int, projection_order: i
             raise ValueError("BNDR-LMS has projection order 2")
         return 4 * L + 4 * i_inv(2)
     N = projection_order
-    if N < 1:
-        raise ValueError(f"projection_order must be >= 1, got {N}")
+    _check_count("projection_order", N)
     return 2 * N * L + i_inv(N)
 
 
@@ -361,8 +353,7 @@ def step_multiplies_literal(kind: AlgorithmKind, filter_length: int,
     """
     if kind is AlgorithmKind.R_AP:
         N = projection_order
-        if N < 1:
-            raise ValueError(f"projection_order must be >= 1, got {N}")
+        _check_count("projection_order", N)
         return 2 * N * filter_length + i_inv(N) * N**2
     return step_multiplies(kind, filter_length, projection_order)
 

@@ -39,6 +39,9 @@ MAX_COUNT = np.iinfo(np.intp).max // 8
 
 
 def _check_count(name: str, count: int) -> None:
+    """The one rule for a count: 1 <= count <= MAX_COUNT."""
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
     if count > MAX_COUNT:
         raise ValueError(f"{name} must be at most {MAX_COUNT}, got {count}")
 
@@ -54,8 +57,7 @@ class TapDelayLine:
     __slots__ = ("_taps",)
 
     def __init__(self, length: int):
-        if length < 1:
-            raise ValueError(f"length must be >= 1, got {length}")
+        _check_count("length", length)
         self._taps = np.zeros(length)
 
     @property
@@ -127,8 +129,7 @@ def generate_noise(spec: NoiseSpec, count: int) -> np.ndarray:
     coloring the first ``count`` samples of the full convolution; both round
     as scipy.signal.lfilter does, so they give its output bit for bit.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_count("count", count)
     if spec.sigma <= 0:
         raise ValueError("sigma must be > 0 to generate a nonzero-length sequence")
     rng = np.random.Generator(np.random.PCG64(spec.seed))

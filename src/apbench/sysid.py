@@ -8,7 +8,7 @@ and the optional measurement noise with an independent salted stream, so
 ensembles are bit-reproducible and order-independent.
 
 _adapt is the one adaptation loop, over a batch of members at once: batch
-shape () for run_single, (R,) for run_ensemble.
+shape () for run_single, (R,) for run_ensemble and (V, *B) for an LMS µ sweep.
 """
 
 from __future__ import annotations
@@ -102,17 +102,18 @@ class ExperimentConfig:
     base_seed: int
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.ensemble_runs < 1:
-            raise ValueError(f"ensemble_runs must be >= 1, got {self.ensemble_runs}")
         algo = self.algorithm
         _check_count("iterations", self.iterations)
-        # _adapt pads the input with N + L - 2 leading zeros
-        _check_count("iterations + projection_order + filter_length - 2",
-                     self.iterations + algo.projection_order + algo.filter_length - 2)
+        _check_count("ensemble_runs", self.ensemble_runs)
+        # _adapt pads the input with N + L - 2 leading zeros, for every run at once
+        padded = self.iterations + algo.projection_order + algo.filter_length - 2
+        _check_count("iterations + projection_order + filter_length - 2", padded)
+        _check_count("ensemble_runs * (iterations + projection_order + filter_length - 2)",
+                     self.ensemble_runs * padded)
         if not 0 <= self.base_seed <= _SEED_MASK:
             raise ValueError(f"base_seed must be an unsigned 64-bit integer, got {self.base_seed}")
+        if self.noise.sigma <= 0:
+            raise ValueError(f"noise.sigma must be > 0, got {self.noise.sigma}")
         if self.algorithm.filter_length < self.plant.length:
             warnings.warn(
                 f"filter_length {self.algorithm.filter_length} is shorter than the "
@@ -198,8 +199,14 @@ def _signals(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, 
         key = _signals_key(config, run_indices)
         if key in memo:
             return memo[key]
-    signals = [_member_signals(config, r) for r in run_indices]
-    x, d = signals[0] if len(signals) == 1 else (np.stack(s) for s in zip(*signals))
+    if len(run_indices) == 1:
+        x, d = _member_signals(config, run_indices[0])
+    else:
+        # allocated first, so an ensemble too large to hold fails before any run
+        shape = (len(run_indices), config.iterations)
+        x, d = np.empty(shape), np.empty(shape)
+        for row, r in enumerate(run_indices):
+            x[row], d[row] = _member_signals(config, r)
     if memo is not None:
         # an in-place edit by one variant would otherwise reach the next
         x.flags.writeable = d.flags.writeable = False
@@ -484,8 +491,7 @@ def run_ensemble(config: ExperimentConfig, max_workers: int = 1) -> EnsembleResu
     range; the first iteration where their mean overflows fails as the
     divergence of the run with the largest square there.
     """
-    if max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    _check_count("max_workers", max_workers)
     indices = range(config.ensemble_runs)
     if run_single is not _library_run_single:
         runs = tuple(run_single(config, r) for r in indices)

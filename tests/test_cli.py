@@ -283,8 +283,12 @@ class TestRunCommand:
          "iterations + projection_order + filter_length - 2", {"iterations": MAX_COUNT}),
         ({"plant": {"design": {"num_taps": 2**61 + 1, "cutoff_fn": 0.4}}}, "num_taps", None),
         (["design", str(2**61 + 1), "0.4"], "num_taps", None),
+        ({"ensemble_runs": 2**61}, "ensemble_runs", {"ensemble_runs": 2**61}),
+        # every term is within the limit, the runs' stacked padded input is not
+        ({"ensemble_runs": 2**31, "iterations": 2**30},
+         "ensemble_runs * (iterations + projection_order + filter_length - 2)", None),
     ], ids=["iterations", "freq_points", "filter_length", "projection_order", "padded_input",
-            "plant_num_taps", "design_num_taps"])
+            "plant_num_taps", "design_num_taps", "ensemble_runs", "ensemble_input"])
     def test_a_count_numpy_cannot_describe_fails_validation(self, tmp_path, capsys, edit, field,
                                                            replaced):
         # numpy refuses a float64 array of more than MAX_COUNT elements without allocating
@@ -299,6 +303,33 @@ class TestRunCommand:
             spec = load_experiment_file(_write_config(tmp_path, _tiny_config(out), "ok.json"))
             with pytest.raises(ConfigError, match=message):
                 dataclasses.replace(spec, **replaced)
+
+    def test_an_ensemble_too_large_to_allocate_fails_at_once(self, tmp_path):
+        # 2**55 runs of 8 samples pass validation; their 2 EiB of inputs cannot be
+        # allocated. A subprocess with a timeout, so that a hang fails the test.
+        out = tmp_path / "out"
+        path = _write_config(tmp_path, _tiny_config(out, ensemble_runs=2**55, iterations=8))
+        proc = subprocess.run([sys.executable, "-m", "apbench.cli", "run", str(path)],
+                              capture_output=True, text=True, timeout=20,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 2, proc.stderr
+        assert re.fullmatch(r"runtime error: Unable to allocate 2\.00 EiB .*\n", proc.stderr)
+        assert not out.exists()
+
+    def test_a_zero_noise_sigma_is_rejected_for_files_replaced_specs_and_the_library(
+            self, tmp_path, capsys):
+        out = tmp_path / "out"
+        zero = {"kind": "white", "sigma": 0.0}
+        message = "invalid experiment file: noise.sigma must be > 0, got 0.0"
+        assert main(["run", str(_write_config(tmp_path, _tiny_config(out, noise=zero)))]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        spec = load_experiment_file(_write_config(tmp_path, _tiny_config(out), "ok.json"))
+        silent = NoiseSpec(NoiseKind.WHITE, sigma=0.0)  # a spec alone may be silent
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(spec, noise=silent)
+        with pytest.raises(ValueError, match=r"^noise\.sigma must be > 0, got 0\.0$"):
+            dataclasses.replace(spec.experiment_config(spec.variants[0][1]), noise=silent)
 
     def test_an_all_zero_plant_is_rejected_for_files_and_replaced_specs(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -597,6 +628,21 @@ def test_the_bulk_path_writes_the_bytes_of_percent_formatting(chunk_rows):
         chunk = [c[start:start + chunk_rows] for c in columns]
         expected = b"".join(line % row for row in zip(*(c.tolist() for c in chunk)))
         assert artifacts._bulk_rows(line, fields, chunk) == expected, start
+
+
+@pytest.mark.parametrize("line, fields, columns", [
+    # a %.17g column given as Python ints: int64, not float64
+    (b"%d,%.17g\n", ["%d", "%.17g"], [np.array([3, 4]), [1, -2]]),
+    # a %d cell of 17 characters, wider than the row's 16 bytes
+    (b"%d\n", ["%d"], [np.array([1, 10**16])]),
+], ids=["int_float_column", "wide_int_cell"])
+def test_the_bulk_path_falls_back_to_percent_formatting(line, fields, columns, monkeypatch):
+    fallbacks = []
+    rows = artifacts._rows
+    monkeypatch.setattr(artifacts, "_rows", lambda *args: fallbacks.append(args) or rows(*args))
+    expected = b"".join(line % row for row in zip(*(np.asarray(c).tolist() for c in columns)))
+    assert artifacts._bulk_rows(line, fields, columns) == expected
+    assert len(fallbacks) == 1
 
 
 @pytest.mark.parametrize("meas_sigma", [0.0, 0.01])
