@@ -88,9 +88,8 @@ class AlgorithmConfig:
     at experiment time from the excitation variance (DELTA_SCALE * L * Var(x)).
 
     ``normalization_order`` is the divisor order in the auto step size
-    1/(order * ||x||^2). BNDR-LMS defaults to 1 and R_AP to its projection
-    order; both choices are overridable because the literature states both
-    prescriptions.
+    1/(order * ||x||^2): BNDR-LMS defaults to 1 and R_AP to its projection
+    order, and either may be set, as the literature states both.
     """
 
     kind: AlgorithmKind
@@ -102,21 +101,24 @@ class AlgorithmConfig:
     normalization_order: int | None = None
 
     def __post_init__(self):
-        _check_count("filter_length", self.filter_length)
+        def _default(field, value):
+            if getattr(self, field) is None:
+                object.__setattr__(self, field, value)
+
+        def _count(field):
+            object.__setattr__(self, field, _check_count(field, getattr(self, field)))
+
+        _count("filter_length")
         if self.mu is not None and not self.mu > 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
         if self.kind not in KIND_RULES:
             raise ValueError(f"kind must be an AlgorithmKind, got {self.kind!r}")
         rules, name = KIND_RULES[self.kind], self.kind.value
 
-        def _default(field, value):
-            if getattr(self, field) is None:
-                object.__setattr__(self, field, value)
-
         _default("projection_order", rules.projection_order)
         if rules.order_pinned and self.projection_order != rules.projection_order:
             raise ValueError(f"{name} requires projection_order == {rules.projection_order}")
-        _check_count("projection_order", self.projection_order)
+        _count("projection_order")
         _default("mu_mode", rules.mu_mode)
         if not rules.auto_allowed and self.mu_mode is not MuMode.FIXED:
             raise ValueError(f"{name} uses a fixed step size; auto normalization is not valid")
@@ -133,7 +135,7 @@ class AlgorithmConfig:
         if self.mu_mode is MuMode.FIXED and self.mu is None:
             raise ValueError("mu is required when mu_mode is FIXED")
         if self.normalization_order is not None:
-            _check_count("normalization_order", self.normalization_order)
+            _count("normalization_order")
 
     def resolved_delta(self, input_var: float) -> float:
         """Regularization constant actually used for a given input variance."""
@@ -165,14 +167,6 @@ class DataMatrix:
         _check_count("order", order)
         _check_count("filter_length", filter_length)
         self._rows = np.zeros((order, filter_length))
-
-    @property
-    def order(self) -> int:
-        return self._rows.shape[0]
-
-    @property
-    def filter_length(self) -> int:
-        return self._rows.shape[1]
 
     @property
     def rows(self) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Learning-curve post-processing: smoothing, onset detection, weight match.
 
-MSE traces are handled in dB but smoothed in the linear domain; every dB
-conversion clamps at MSE_FLOOR so logs stay finite through deep convergence.
+MSE traces are handled in dB but smoothed in the linear domain. Every dB value
+in apbench comes from _db, whose floor keeps deep convergence finite.
 """
 
 from __future__ import annotations
@@ -20,8 +20,16 @@ __all__ = [
     "MSE_FLOOR_DB",
 ]
 
-MSE_FLOOR = 1e-30
 MSE_FLOOR_DB = -300.0
+MSE_FLOOR = 10.0 ** (MSE_FLOOR_DB / 10.0)  # 1e-30, exactly
+
+
+def _db(values: np.ndarray, per_decade: float = 10.0) -> np.ndarray:
+    """10 (powers) or 20 (magnitudes) * log10 of values, floored at MSE_FLOOR_DB, in place."""
+    np.maximum(values, 10.0 ** (MSE_FLOOR_DB / per_decade), out=values)
+    np.log10(values, out=values)
+    values *= per_decade
+    return values
 
 
 @dataclass(frozen=True)
@@ -69,10 +77,7 @@ def smooth(trace: MseTrace, window: int) -> MseTrace:
     out[:head] /= np.arange(tail + 1, window)
     out[head:n - tail] /= window
     out[n - tail:] /= np.arange(window - 1, head, -1)
-    np.maximum(out, MSE_FLOOR, out=out)
-    np.log10(out, out=out)
-    out *= 10.0
-    return MseTrace(out, smoothing_window=window)
+    return MseTrace(_db(out), smoothing_window=window)
 
 
 @dataclass(frozen=True)
@@ -134,12 +139,10 @@ def misalignment_db(w, h) -> float:
 
     Vectors of unequal length are compared after zero-padding the shorter.
     """
-    wv = np.asarray(w, dtype=float)
-    hv = np.asarray(h, dtype=float)
+    wv, hv = np.asarray(w, dtype=float), np.asarray(h, dtype=float)
     size = max(wv.shape[0], hv.shape[0])
     wv, hv = (np.pad(v, (0, size - v.shape[0])) for v in (wv, hv))
     h_norm = float(np.linalg.norm(hv))
     if h_norm == 0.0:
         raise ValueError("misalignment is undefined for an all-zero reference vector")
-    ratio = float(np.linalg.norm(wv - hv)) / h_norm
-    return max(20.0 * np.log10(max(ratio, 10 ** (MSE_FLOOR_DB / 20.0))), MSE_FLOOR_DB)
+    return float(_db(np.array(float(np.linalg.norm(wv - hv)) / h_norm), 20.0))

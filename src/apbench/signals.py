@@ -7,10 +7,13 @@ runs. Signals are real-valued float64 throughout.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .metrics import MSE_FLOOR_DB, _db
 
 __all__ = [
     "TapDelayLine",
@@ -24,8 +27,8 @@ __all__ = [
     "MAG_FLOOR",
 ]
 
-# magnitudes below this are clamped before taking logs
-MAG_FLOOR = 1e-15
+# magnitudes below this are clamped before taking logs: 1e-15, exactly
+MAG_FLOOR = 10.0 ** (MSE_FLOOR_DB / 20.0)
 
 # frequencies evaluated per block in frequency_response: its phase matrix is
 # at most this many rows x taps (1 MB of complex128 at 64 taps)
@@ -38,12 +41,29 @@ _SEED_MASK = (1 << 64) - 1
 MAX_COUNT = np.iinfo(np.intp).max // 8
 
 
-def _check_count(name: str, count: int) -> None:
-    """The one rule for a count: 1 <= count <= MAX_COUNT."""
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)  # a float is refused, even an integral one
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_count(name: str, count) -> int:
+    """The one rule for a count: an integer, 1 <= count <= MAX_COUNT. Returns it."""
+    count = _integer(name, count)
     if count < 1:
         raise ValueError(f"{name} must be >= 1, got {count}")
     if count > MAX_COUNT:
         raise ValueError(f"{name} must be at most {MAX_COUNT}, got {count}")
+    return count
+
+
+def _check_seed(name: str, seed) -> int:
+    """The one rule for a seed: an unsigned 64-bit integer. Returns it."""
+    seed = _integer(name, seed)
+    if not 0 <= seed <= _SEED_MASK:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
 class TapDelayLine:
@@ -76,12 +96,6 @@ class TapDelayLine:
             self.push(x)
         return self
 
-    def __len__(self) -> int:
-        return self._taps.shape[0]
-
-    def __repr__(self) -> str:
-        return f"TapDelayLine({self._taps.tolist()})"
-
 
 class NoiseKind(Enum):
     WHITE = "white"
@@ -108,8 +122,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not self.sigma >= 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if not (0 <= self.seed <= _SEED_MASK):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        object.__setattr__(self, "seed", _check_seed("seed", self.seed))
         if self.kind is NoiseKind.AR1_COLORED and not abs(self.ar_coefficient) < 1:
             raise ValueError(
                 f"ar_coefficient must lie in (-1, 1) for a stable AR(1) process, "
@@ -210,12 +223,8 @@ class FrequencyResponse:
 def frequency_response(w, k_points: int) -> FrequencyResponse:
     """Evaluate 20*log10|H(e^{j omega})| at k_points frequencies on [0, pi].
 
-    The grid is evaluated in blocks of at most FREQ_BLOCK_ROWS frequencies,
-    so the complex phase matrix never exceeds FREQ_BLOCK_ROWS x taps and
-    memory does not grow with k_points. Each block does the same arithmetic
-    as one k_points x taps evaluation, so the result is the same bit for bit.
-    Magnitudes are clamped at MAG_FLOOR before the log so the response of a
-    perfect null is finite (-300 dB).
+    Blocks of at most FREQ_BLOCK_ROWS frequencies bound the phase matrix
+    without changing a bit of the result. A perfect null reads -300 dB.
     """
     omegas, (magnitude_db,) = _responses_db([w], k_points)
     return FrequencyResponse(omegas=omegas, magnitude_db=magnitude_db)
@@ -242,4 +251,4 @@ def _responses_db(vectors, k_points: int):
         phase = np.exp(-1j * np.outer(omegas[rows], taps))
         for mag, c in zip(mags, coeffs):
             mag[rows] = np.abs(phase[:, :c.shape[0]] @ c)
-    return omegas, 20.0 * np.log10(np.maximum(mags, MAG_FLOOR))
+    return omegas, _db(mags, 20.0)

@@ -28,9 +28,9 @@ from .algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, _ap_correct, _a
 # looks it up or wraps it here
 from .algorithms import ap_step  # noqa: F401
 from .linalg import residual_error, singular_error
-from .metrics import MSE_FLOOR, MseTrace
-from .signals import (_SEED_MASK, NoiseKind, NoiseSpec, _check_count, generate_noise,
-                      input_variance)
+from .metrics import MseTrace, _db
+from .signals import (_SEED_MASK, NoiseKind, NoiseSpec, _check_count, _check_seed,
+                      generate_noise, input_variance)
 
 __all__ = [
     "PlantModel",
@@ -103,15 +103,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         algo = self.algorithm
-        _check_count("iterations", self.iterations)
-        _check_count("ensemble_runs", self.ensemble_runs)
+        for field in ("iterations", "ensemble_runs"):
+            object.__setattr__(self, field, _check_count(field, getattr(self, field)))
         # _adapt pads the input with N + L - 2 leading zeros, for every run at once
         padded = self.iterations + algo.projection_order + algo.filter_length - 2
         _check_count("iterations + projection_order + filter_length - 2", padded)
         _check_count("ensemble_runs * (iterations + projection_order + filter_length - 2)",
                      self.ensemble_runs * padded)
-        if not 0 <= self.base_seed <= _SEED_MASK:
-            raise ValueError(f"base_seed must be an unsigned 64-bit integer, got {self.base_seed}")
+        object.__setattr__(self, "base_seed", _check_seed("base_seed", self.base_seed))
         if self.noise.sigma <= 0:
             raise ValueError(f"noise.sigma must be > 0, got {self.noise.sigma}")
         if self.algorithm.filter_length < self.plant.length:
@@ -157,8 +156,7 @@ def _member_signals(config: ExperimentConfig, run_index: int) -> tuple[np.ndarra
     d = np.convolve(x, config.plant.h)[: x.shape[0]]
     sigma_v = config.plant.measurement_noise_sigma
     if sigma_v > 0:
-        spec = NoiseSpec(kind=NoiseKind.WHITE, sigma=sigma_v,
-                         seed=(input_seed ^ MEASUREMENT_STREAM_SALT) & _SEED_MASK)
+        spec = NoiseSpec(NoiseKind.WHITE, sigma_v, seed=input_seed ^ MEASUREMENT_STREAM_SALT)
         d = d + generate_noise(spec, x.shape[0])
     return x, d
 
@@ -481,15 +479,12 @@ _library_run_single = run_single
 def run_ensemble(config: ExperimentConfig, max_workers: int = 1) -> EnsembleResult:
     """Average squared error over ensemble_runs independent runs.
 
-    All runs are adapted together in one loop over time. If run_single has
-    been replaced at this module's attribute (a tracing wrapper), the runs
-    go through it one by one instead, with bit-identical results, so that
-    the wrapper sees every run. ``max_workers`` must be >= 1; it is kept for
-    compatibility and changes neither how the ensemble runs nor its result.
-
-    Finite squared errors of several runs can still sum past the float64
-    range; the first iteration where their mean overflows fails as the
-    divergence of the run with the largest square there.
+    All runs are adapted together in one loop over time; a run_single
+    replaced at this module's attribute (a tracing wrapper) sees every run,
+    one by one, with bit-identical results. ``max_workers`` must be >= 1 and
+    changes nothing. The first iteration where the mean of the finite
+    squared errors overflows fails as the divergence of the run with the
+    largest square there.
     """
     _check_count("max_workers", max_workers)
     indices = range(config.ensemble_runs)
@@ -505,5 +500,4 @@ def run_ensemble(config: ExperimentConfig, max_workers: int = 1) -> EnsembleResu
         n = int(np.argmax(overflow))
         raise AdaptationError(int(np.argmax(mse[:, n])), n,
                               "diverged (the ensemble mean of the squared errors overflows)")
-    values_db = 10.0 * np.log10(np.maximum(mean_e2, MSE_FLOOR))
-    return EnsembleResult(trace=MseTrace(values_db, smoothing_window=1), runs=runs)
+    return EnsembleResult(trace=MseTrace(_db(mean_e2), smoothing_window=1), runs=runs)

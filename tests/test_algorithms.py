@@ -333,3 +333,15 @@ class TestAlgorithmConfig:
         for delta in (-1e-3, float("nan")):
             with pytest.raises(ValueError):
                 AlgorithmConfig(AlgorithmKind.R_AP, filter_length=8, delta=delta)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AlgorithmConfig("lms", filter_length=2, mu=0.1),
+     "kind must be an AlgorithmKind, got 'lms'"),
+    (lambda: lms_step(np.zeros(2), np.ones(2), 1.0, 0.0), "mu must be > 0, got 0.0"),
+    (lambda: step_multiplies(AlgorithmKind.LMS, 4, 2), "LMS has projection order 1"),
+    (lambda: step_multiplies(AlgorithmKind.BNDR_LMS, 4, 3), "BNDR-LMS has projection order 2"),
+], ids=["kind", "lms_step_mu", "lms_order", "bndr_lms_order"])
+def test_invalid_arguments_are_rejected_with_their_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

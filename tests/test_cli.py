@@ -246,6 +246,32 @@ class TestRunCommand:
         assert reason in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("patch, args, message", [
+        ({"noise": 5}, [], "noise must be a JSON object"),
+        ({"noise": {"kind": "pink", "sigma": 1.0}}, [],
+         "noise.kind must be one of ['white', 'ar1', 'fir'], got 'pink'"),
+        ({"plant": {"design": {"num_taps": 7, "cutoff_fn": 0.5}, "coefficients": [1.0]}}, [],
+         "plant needs exactly one of 'design' or 'coefficients'"),
+        ({"plant": {"measurement_noise_sigma": 0.0}}, [],
+         "plant needs exactly one of 'design' or 'coefficients'"),
+        ({"algorithms": [{"name": "a/b", "kind": "lms", "filter_length": 7, "mu": 0.05}]}, [],
+         "algorithms[0].name must be non-empty and filesystem-safe, got 'a/b'"),
+        ({"algorithms": []}, [], "algorithms must be a non-empty list"),
+        ({}, ["--threads", "0"], "--threads must be >= 1, got 0"),
+    ], ids=["not_an_object", "unknown_enum_value", "plant_both", "plant_neither",
+            "unsafe_variant_name", "no_algorithms", "zero_threads"])
+    def test_an_invalid_file_or_option_fails_with_one_error_line(self, tmp_path, capsys, patch,
+                                                                 args, message):
+        out = tmp_path / "out"
+        path = _write_config(tmp_path, _tiny_config(out, **patch))
+        assert main(["run", str(path), *args]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_an_unreadable_file_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match=f"cannot read {re.escape(str(tmp_path))}: "):
+            load_experiment_file(tmp_path)
+
     def test_missing_config_is_validation_error(self):
         assert main(["run", "no_such_config.json"]) == 1
 

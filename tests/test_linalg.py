@@ -223,3 +223,8 @@ def test_finite_psd_systems_raise_no_warning():
             L = int(rng.integers(N + 1, 33))
             ap_step(rng.standard_normal(L), rng.standard_normal((N, L)), rng.standard_normal(N),
                     float(rng.uniform(0.1, 1.0)), float(rng.choice([0.0, 1e-8, 1e-3])))
+
+
+def test_an_empty_gram_is_rejected():
+    with pytest.raises(ValueError, match="gram must be at least 1 x 1"):
+        solve_stacked(np.zeros((3, 0, 0)), 0.0, np.zeros((3, 0)))

@@ -196,3 +196,14 @@ class TestMisalignment:
         h = np.array([1.0, 0.5, -0.5])
         assert misalignment_db(alpha * w, alpha * h) == pytest.approx(
             misalignment_db(w, h), abs=1e-9)
+
+
+@pytest.mark.parametrize("values, window, message", [
+    ([], 1, "values_db must be a non-empty 1-D array"),
+    ([[0.0]], 1, "values_db must be a non-empty 1-D array"),
+    ([0.0, -np.inf], 1, r"values_db must be finite \(floor-clamp upstream\)"),
+    ([0.0], 0, "smoothing_window must be >= 1, got 0"),
+], ids=["empty", "2d", "not_finite", "window"])
+def test_an_invalid_trace_is_rejected_with_its_message(values, window, message):
+    with pytest.raises(ValueError, match=message):
+        MseTrace(values, smoothing_window=window)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from apbench.signals import (
     FREQ_BLOCK_ROWS,
     MAG_FLOOR,
+    FrequencyResponse,
     NoiseKind,
     NoiseSpec,
     TapDelayLine,
@@ -266,3 +267,13 @@ class TestFrequencyResponse:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+@pytest.mark.parametrize("omegas, magnitude_db, message", [
+    ([0.0, 1.0], [0.0], "omegas and magnitude_db must have matching shapes"),
+    ([0.0, 1.0, 1.0], [0.0, 0.0, 0.0], "omegas must be strictly increasing"),
+], ids=["shapes", "not_increasing"])
+def test_an_invalid_frequency_response_is_rejected_with_its_message(omegas, magnitude_db,
+                                                                    message):
+    with pytest.raises(ValueError, match=message):
+        FrequencyResponse(omegas, magnitude_db)

@@ -499,6 +499,37 @@ class TestExperimentConfig:
                 PlantModel(h=[1.0], measurement_noise_sigma=sigma)
 
 
+_LMS2 = AlgorithmConfig(AlgorithmKind.LMS, filter_length=2, mu=0.1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AlgorithmConfig(AlgorithmKind.LMS, filter_length=2.5, mu=0.1),
+     "filter_length must be an integer, got 2.5"),
+    (lambda: NoiseSpec(NoiseKind.WHITE, 1.0, seed=0.5), "seed must be an integer, got 0.5"),
+    (lambda: _config(_LMS2, [1.0], iterations=20.5), "iterations must be an integer, got 20.5"),
+    (lambda: _config(_LMS2, [1.0], runs=3.0), "ensemble_runs must be an integer, got 3.0"),
+    (lambda: _config(_LMS2, [1.0], seed=1.5), "base_seed must be an integer, got 1.5"),
+    # the stacked input, 2**32 + 1 runs of 2**32 + 1 padded samples, wrapped in int64
+    (lambda: _config(_LMS2, [1.0], iterations=np.int64(2**32), runs=np.int64(2**32 + 1)),
+     r"ensemble_runs \* \(iterations \+ projection_order \+ filter_length - 2\) must be at most"),
+], ids=["filter_length", "noise_seed", "iterations", "ensemble_runs", "base_seed",
+        "wrapping_product"])
+def test_a_non_integral_or_wrapping_count_or_seed_fails_at_construction(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_counts_and_seeds_are_stored_as_the_python_ints_they_were_checked_as():
+    algo = AlgorithmConfig(AlgorithmKind.R_AP, filter_length=np.int32(4), mu=0.5,
+                           projection_order=np.int64(2), normalization_order=np.uint8(3))
+    config = _config(algo, [1.0], iterations=np.int64(20), runs=np.int16(3), seed=np.uint64(5),
+                     noise=NoiseSpec(NoiseKind.WHITE, 1.0, seed=np.uint64(2**63)))
+    values = [algo.filter_length, algo.projection_order, algo.normalization_order,
+              config.iterations, config.ensemble_runs, config.base_seed, config.noise.seed]
+    assert values == [4, 2, 3, 20, 3, 5, 2**63]
+    assert all(type(v) is int for v in values)
+
+
 # Block-boundary cases: every projection iteration of T = 3 * PROJECTION_BLOCK
 # + N + 1 steps, so each case crosses the one-step warm-up blocks and three
 # full blocks and ends in a short one.

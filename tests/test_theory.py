@@ -21,8 +21,14 @@ eigenvector q_i (k_i(0) = (q_i^T h)^2 from zero weights),
     k_i <- k_i (1 - 2 mu l_i + 2 mu^2 l_i^2) + mu^2 l_i (sum_j l_j k_j + sigma_v^2),
     J(n) = sigma_v^2 + sum_i l_i k_i(n).
 
+An affine projection of order N >= p + 1 decorrelates AR(p) input, so at
+mu = 1 without measurement noise it converges on that input as on white input
+(Rupp, IEEE TSP, 1998; Sankaran & Beex, IEEE TSP, 2000): the decay slope of
+the ensemble MSE in dB per iteration is the same on both.
+
 Each band is the model's stated tolerance plus three standard errors of the
-simulated EMSE, or of a window's mean squared error, across runs.
+simulated EMSE, of a window's mean squared error or of a decay slope, across
+runs.
 """
 
 import numpy as np
@@ -38,6 +44,7 @@ RUNS, ITERATIONS = 1000, 3000
 MODEL_TOLERANCE = 0.02
 WISHART_TOLERANCE = 0.10
 CURVE_TOLERANCE = 0.10
+DECORRELATION_TOLERANCE = 0.10
 H = design_highpass_fir(13, 0.4)  # the bundled white config's plant
 L = H.shape[0]
 
@@ -145,3 +152,41 @@ def test_lms_learning_curve_on_white_input_matches_the_filling_recursion(mu):
     squared_errors = _lms_squared_errors(NoiseSpec(NoiseKind.WHITE, sigma=1.0), mu, iterations,
                                          runs=2000, base_seed=7)
     _assert_windows_match(squared_errors, theory, [0, 100, 300, 700, 1500])
+
+
+def _decay_slope(algorithm, noise, runs=200, groups=10, iterations=1000):
+    """The ensemble MSE's decay slope in dB per iteration over -30 to -230 dB, and its SE.
+
+    The stretch runs from the first iteration after the peak at or below -30 dB
+    to the first at or below -230 dB of the whole ensemble's curve (the first
+    samples, with few taps filled, can lie below -30 dB). The standard error is
+    that of the mean over ``groups`` equal groups of runs, each group's slope
+    fitted on its own mean curve over the same stretch.
+    """
+    config = ExperimentConfig(plant=PlantModel(h=H), algorithm=algorithm, noise=noise,
+                              iterations=iterations, ensemble_runs=runs, base_seed=11)
+    result = run_ensemble(config)
+    curve = result.trace.values_db
+    peak = int(np.argmax(curve))
+    start, stop = (peak + int(np.argmax(curve[peak:] <= level)) for level in (-30.0, -230.0))
+    assert peak < start < stop, f"{algorithm}: the curve does not cross -30 and -230 dB"
+    n = np.arange(start, stop)
+    squared = np.array([run.mse_trace[start:stop] for run in result.runs])
+    group_slopes = [np.polyfit(n, 10 * np.log10(group.mean(axis=0)), 1)[0]
+                    for group in np.split(squared, groups)]
+    return np.polyfit(n, curve[start:stop], 1)[0], np.std(group_slopes, ddof=1) / np.sqrt(groups)
+
+
+@pytest.mark.parametrize("kind, order", [(AlgorithmKind.BNDR_LMS, 2), (AlgorithmKind.R_AP, 4)])
+def test_projection_converges_on_ar1_input_as_on_white_input(kind, order):
+    algorithm = AlgorithmConfig(kind, filter_length=L, mu=1.0, mu_mode=MuMode.FIXED,
+                                projection_order=order)
+    white, white_se = _decay_slope(algorithm, NoiseSpec(NoiseKind.WHITE, sigma=1.0))
+    colored, colored_se = _decay_slope(
+        algorithm, NoiseSpec(NoiseKind.AR1_COLORED, sigma=1.0, ar_coefficient=0.9))
+    ratio = colored / white
+    ratio_se = abs(ratio) * np.hypot(white_se / white, colored_se / colored)
+    band = DECORRELATION_TOLERANCE + 3 * ratio_se
+    assert abs(ratio - 1) <= band, (
+        f"{kind.value} N={order}: slopes {colored:.4f} (AR(1)) and {white:.4f} (white) dB per "
+        f"iteration, ratio {ratio:.4f}, band {band:.4f}")
