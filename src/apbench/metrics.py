@@ -6,6 +6,7 @@ in apbench comes from _db, whose floor keeps deep convergence finite.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,14 @@ def _db(values: np.ndarray, per_decade: float = 10.0) -> np.ndarray:
     return values
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, or a ValueError naming it; signals' counts and seeds use it too."""
+    try:
+        return operator.index(value)  # a float is refused, even an integral one
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class MseTrace:
     """A learning curve in dB plus the smoothing window it was produced with."""
@@ -45,8 +54,10 @@ class MseTrace:
             raise ValueError("values_db must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.values_db)):
             raise ValueError("values_db must be finite (floor-clamp upstream)")
-        if self.smoothing_window < 1:
-            raise ValueError(f"smoothing_window must be >= 1, got {self.smoothing_window}")
+        window = _integer("smoothing_window", self.smoothing_window)
+        if window < 1:
+            raise ValueError(f"smoothing_window must be >= 1, got {window}")
+        object.__setattr__(self, "smoothing_window", window)
 
     def __len__(self) -> int:
         return self.values_db.shape[0]
@@ -60,6 +71,7 @@ def smooth(trace: MseTrace, window: int) -> MseTrace:
     fits inside the trace. window = 1 returns the trace unchanged.
     """
     n = len(trace)
+    window = _integer("window", window)
     if not 1 <= window <= n:
         raise ValueError(f"window must lie in [1, {n}], got {window}")
     if window == 1:

@@ -7,13 +7,12 @@ runs. Signals are real-valued float64 throughout.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .metrics import MSE_FLOOR_DB, _db
+from .metrics import MSE_FLOOR_DB, _db, _integer
 
 __all__ = [
     "TapDelayLine",
@@ -39,13 +38,6 @@ _SEED_MASK = (1 << 64) - 1
 # the most float64 elements numpy can describe in one array: it refuses a
 # longer one outright, so a count above it fails validation instead
 MAX_COUNT = np.iinfo(np.intp).max // 8
-
-
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)  # a float is refused, even an integral one
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_count(name: str, count) -> int:

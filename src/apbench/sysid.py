@@ -355,7 +355,7 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
         empty = norm2 == 0.0
         w_start = w
         if not (singular.any() or (failed_at >= 0).any()):
-            chol_steps = _by_step(chol)
+            chol_steps = [[[c[i] for c in row] for row in chol] for i in range(steps)]
             any_empty = empty.reshape(steps, -1).any(axis=1).tolist()
             # entries over (step, *B), as the block check takes them
             rhs = np.empty((k, steps) + batch)
@@ -364,10 +364,9 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
                 _, e = _ap_errors(w, X[i], d_block[i])
                 errors[n] = e[..., 0]
                 rhs[:, i] = e.T
-                eps = sol[:, i]
-                eps[...] = linalg._substitute(chol_steps[i], list(e.T), k)
-                # eps is (k, *B); its transpose is the (*B, k) view _ap_correct takes
-                w_new = _ap_correct(w, X[i], eps.T, mus[i])
+                sol[:, i] = linalg._substitute(chol_steps[i], rhs[:, i], k)
+                # sol[:, i] is (k, *B); its transpose is the (*B, k) view _ap_correct takes
+                w_new = _ap_correct(w, X[i], sol[:, i].T, mus[i])
                 w = np.where(empty[i][..., None], w, w_new) if any_empty[i] else w_new
             if not linalg._residual_norm(a, list(sol), list(rhs), k, ~empty)[1].any():
                 continue
@@ -386,15 +385,6 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
             inexact[short] = True
             w = np.where((idle | failed)[..., None], w, w_new)
     return w
-
-
-def _by_step(entries: list) -> list:
-    """Entry lists of arrays over (step, *B) as one entry list per step.
-
-    ``_by_step(entries)[i][r][c]`` is ``entries[r][c][i]``; rows may differ
-    in length, as a factor's lower triangle does.
-    """
-    return list(zip(*(zip(*map(list, row)) for row in entries)))
 
 
 def _shed_rows(w, X, d_vec, mu, delta, stuck, short, w_new) -> np.ndarray:

@@ -23,6 +23,7 @@ from apbench.algorithms import (
     step_multiplies_literal,
 )
 from apbench.signals import NoiseKind, NoiseSpec, TapDelayLine, design_highpass_fir, generate_noise
+from test_linalg import ILL_GRAM, ILL_RHS
 
 
 class TestLmsStep:
@@ -179,6 +180,24 @@ class TestApStep:
             ap_step([0.0, 0.0], [[1.0, 0.0]], [1.0, 2.0], 1.0, 0.0)
         with pytest.raises(ValueError):
             ap_step([0.0, 0.0], [[1.0, 0.0]], [1.0], 0.0, 0.0)
+
+    def test_a_data_matrix_is_taken_as_its_rows(self):
+        dm = DataMatrix(order=3, filter_length=4)
+        for v in (0.5, -1.0, 2.0, 0.25, -0.75):
+            dm.push_sample(v)
+        w0, d = np.array([0.1, -0.2, 0.3, 0.0]), np.array([1.0, -0.5, 0.25])
+        w_dm, out_dm = ap_step(w0, dm, d, 0.7, 1e-3)
+        w_rows, out_rows = ap_step(w0, dm.rows, d, 0.7, 1e-3)
+        np.testing.assert_array_equal(w_dm, w_rows)
+        assert out_dm == out_rows
+
+    def test_a_solve_short_of_the_residual_bound_raises(self):
+        # rows whose Gram is exactly ILL_GRAM, a nonsingular system too
+        # ill-conditioned to meet the residual bound in float64
+        X = np.linalg.cholesky(ILL_GRAM)
+        assert np.array_equal(X @ X.T, ILL_GRAM)
+        with pytest.raises(ArithmeticError, match="could not reach the guaranteed residual bound"):
+            ap_step(np.zeros(3), X, ILL_RHS, 1.0, 0.0)
 
 
 class TestBndrLmsStep:
@@ -341,7 +360,9 @@ class TestAlgorithmConfig:
     (lambda: lms_step(np.zeros(2), np.ones(2), 1.0, 0.0), "mu must be > 0, got 0.0"),
     (lambda: step_multiplies(AlgorithmKind.LMS, 4, 2), "LMS has projection order 1"),
     (lambda: step_multiplies(AlgorithmKind.BNDR_LMS, 4, 3), "BNDR-LMS has projection order 2"),
-], ids=["kind", "lms_step_mu", "lms_order", "bndr_lms_order"])
+    (lambda: ap_step(np.zeros(3), np.ones(3), [1.0], 1.0, 0.0),
+     r"data matrix must be 2-D, got shape \(3,\)"),
+], ids=["kind", "lms_step_mu", "lms_order", "bndr_lms_order", "ap_step_1d_data"])
 def test_invalid_arguments_are_rejected_with_their_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()

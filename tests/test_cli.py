@@ -1011,6 +1011,14 @@ def test_children_in_flight_never_exceed_the_usable_cpus(slots, tmp_path, monkey
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("cpu_count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_an_affinity_mask_are_the_cpu_count(cpu_count, usable, monkeypatch):
+    # a platform that cannot restrict a process to some CPUs has no sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert artifacts._usable_cpus() == usable
+
+
 def test_an_interrupted_parent_reaps_its_children_and_forks_no_more(tmp_path, monkeypatch):
     log = _forking(monkeypatch)
 

@@ -203,7 +203,14 @@ class TestMisalignment:
     ([[0.0]], 1, "values_db must be a non-empty 1-D array"),
     ([0.0, -np.inf], 1, r"values_db must be finite \(floor-clamp upstream\)"),
     ([0.0], 0, "smoothing_window must be >= 1, got 0"),
-], ids=["empty", "2d", "not_finite", "window"])
+    ([0.0, -1.0, -2.0], 2.5, r"smoothing_window must be an integer, got 2\.5"),
+    ([0.0, -1.0, -2.0], 2.0, r"smoothing_window must be an integer, got 2\.0"),
+], ids=["empty", "2d", "not_finite", "window", "window_fraction", "window_float"])
 def test_an_invalid_trace_is_rejected_with_its_message(values, window, message):
     with pytest.raises(ValueError, match=message):
         MseTrace(values, smoothing_window=window)
+
+
+def test_smooth_rejects_a_float_window_with_its_message():
+    with pytest.raises(ValueError, match=r"window must be an integer, got 2\.0"):
+        smooth(MseTrace([0.0, -1.0, -2.0]), 2.0)
