@@ -81,7 +81,8 @@ class ExperimentFile:
             raise ConfigError("freq_points must be >= 2")
         # every variant's full experiment is validated before any run starts
         try:
-            _check_count("freq_points", self.freq_points)
+            for field in ("smoothing_window", "freq_points"):
+                object.__setattr__(self, field, _check_count(field, getattr(self, field)))
             for _, algo in self.variants:
                 self.experiment_config(algo)
         except (ValueError, TypeError) as exc:

@@ -113,6 +113,11 @@ class ExperimentConfig:
         object.__setattr__(self, "base_seed", _check_seed("base_seed", self.base_seed))
         if self.noise.sigma <= 0:
             raise ValueError(f"noise.sigma must be > 0, got {self.noise.sigma}")
+        # a silent input excites nothing: every error, and so every curve, would be 0
+        variance = input_variance(self.noise)
+        if not variance > 0:
+            raise ValueError("noise.sigma and noise.fir_coefficients must give the input a "
+                             f"variance > 0, got {variance}")
         if self.algorithm.filter_length < self.plant.length:
             warnings.warn(
                 f"filter_length {self.algorithm.filter_length} is shorter than the "
@@ -121,7 +126,7 @@ class ExperimentConfig:
             )
         if algo.kind is AlgorithmKind.LMS:
             # 2/(L Var(x)) = 2/tr(R) is the classic LMS step-size stability bound
-            trace_r = algo.filter_length * input_variance(self.noise)
+            trace_r = algo.filter_length * variance
             if algo.mu * trace_r > 2.0:
                 warnings.warn(
                     f"LMS mu {algo.mu} exceeds 2/(L*Var(x)) = {2.0 / trace_r:.3g}: "
@@ -322,10 +327,10 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
     first N-1, then up to PROJECTION_BLOCK. The Grams X X^T + delta*I, their
     Cholesky factors and singular flags, and ||x||^2 with the auto step
     sizes are computed once per block (the fixed step sizes once per loop).
-    If no Gram is singular and no member has failed, each step computes its
-    errors, substitutes with its step's factor entries and corrects the
-    weights, writing the right-hand sides and solutions into (k, steps, *B)
-    buffers: one residual check at the block's end covers them all. Without
+    If no Gram is singular and no member has failed, each step writes its
+    errors into the (k, steps, *B) right-hand sides, substitutes its solution
+    into a like buffer and corrects the weights. The block's errors are the
+    right-hand sides' first rows; one residual check covers them all. Without
     a member short of the bound, that is ap_update's work step by step. Any
     other block, and a block found short, runs from its start weights with
     ap_update per step, which refines toward the bound and flags singular
@@ -360,14 +365,13 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
             # entries over (step, *B), as the block check takes them
             rhs = np.empty((k, steps) + batch)
             sol = np.empty_like(rhs)
-            for i, n in enumerate(range(start, stop)):
-                _, e = _ap_errors(w, X[i], d_block[i])
-                errors[n] = e[..., 0]
-                rhs[:, i] = e.T
+            for i in range(steps):
+                rhs[:, i] = _ap_errors(w, X[i], d_block[i])[1].T
                 sol[:, i] = linalg._substitute(chol_steps[i], rhs[:, i], k)
                 # sol[:, i] is (k, *B); its transpose is the (*B, k) view _ap_correct takes
                 w_new = _ap_correct(w, X[i], sol[:, i].T, mus[i])
                 w = np.where(empty[i][..., None], w, w_new) if any_empty[i] else w_new
+            errors[start:stop] = rhs[0]
             if not linalg._residual_norm(a, list(sol), list(rhs), k, ~empty)[1].any():
                 continue
         w = w_start
@@ -429,12 +433,11 @@ def _run(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, tupl
     delta = algo.resolved_delta(input_variance(config.noise))
     errors, w, failed_at, inexact = _adapt_sweep(config, run_indices, delta, x, d)
 
-    errors = np.ascontiguousarray(errors.reshape(T, -1).T)
     w = w.reshape(-1, L)
     failed_at = failed_at.reshape(-1)
     inexact = inexact.reshape(-1)
     with np.errstate(over="ignore"):
-        mse = errors * errors
+        mse = np.square(errors.reshape(T, -1).T, order="C")
     finite = np.isfinite(mse)
     # first non-finite square; weights that overflow in the last step count there
     diverged_at = np.where(finite.all(axis=1), T, np.argmin(finite, axis=1))

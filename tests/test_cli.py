@@ -357,6 +357,35 @@ class TestRunCommand:
         with pytest.raises(ValueError, match=r"^noise\.sigma must be > 0, got 0\.0$"):
             dataclasses.replace(spec.experiment_config(spec.variants[0][1]), noise=silent)
 
+    def test_an_all_zero_fir_excitation_is_rejected_for_files_replaced_specs_and_the_library(
+            self, tmp_path, capsys):
+        # sigma > 0, but taps of zero color every sample to 0: the input is silent
+        out = tmp_path / "out"
+        fir = {"kind": "fir", "sigma": 1.0, "fir_coefficients": [0.0, -0.0]}
+        assert main(["run", str(_write_config(tmp_path, _tiny_config(out, noise=fir)))]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "noise.fir_coefficients" in lines[0]
+        assert not out.exists()
+        spec = load_experiment_file(_write_config(tmp_path, _tiny_config(out), "ok.json"))
+        silent = NoiseSpec(NoiseKind.FIR_COLORED, sigma=1.0, fir_coefficients=(0.0, -0.0))
+        with pytest.raises(ConfigError, match=r"noise\.fir_coefficients"):
+            dataclasses.replace(spec, noise=silent)
+        with pytest.raises(ValueError, match=r"^noise\.sigma and noise\.fir_coefficients .* "
+                                             r"variance > 0, got 0\.0$"):
+            dataclasses.replace(spec.experiment_config(spec.variants[0][1]), noise=silent)
+
+    def test_a_replaced_smoothing_window_follows_the_count_rule(self, tmp_path):
+        # unchecked here, a float window would fail only in metrics.smooth, after the runs
+        spec = load_experiment_file(_write_config(tmp_path, _tiny_config(tmp_path / "out")))
+        message = "invalid experiment file: smoothing_window must be an integer, got 2.5"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(spec, smoothing_window=2.5)
+        replaced = dataclasses.replace(spec, smoothing_window=np.int64(5),
+                                       freq_points=np.int64(64))
+        assert type(replaced.smoothing_window) is int and replaced.smoothing_window == 5
+        assert type(replaced.freq_points) is int and replaced.freq_points == 64
+
     def test_an_all_zero_plant_is_rejected_for_files_and_replaced_specs(self, tmp_path, capsys):
         out = tmp_path / "out"
         path = _write_config(tmp_path, _tiny_config(out, plant={"coefficients": [0.0, -0.0]}))
