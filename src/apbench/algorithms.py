@@ -109,6 +109,9 @@ class AlgorithmConfig:
             object.__setattr__(self, field, _check_count(field, getattr(self, field)))
 
         _count("filter_length")
+        for field in ("mu", "delta"):  # nan fails the range checks below
+            if getattr(self, field) in (np.inf, -np.inf):
+                raise ValueError(f"{field} must be finite, got {getattr(self, field)}")
         if self.mu is not None and not self.mu > 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
         if self.kind not in KIND_RULES:

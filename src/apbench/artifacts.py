@@ -1,8 +1,8 @@
 """CSV artifacts of an experiment file's results.
 
-Per variant, write_artifacts writes the learning curve (_mse.csv), the mean
-final weights (_weights.csv) and the magnitude responses (_freqresp.csv),
-then one summary.csv for all variants.
+write_artifacts writes each variant's learning curve (_mse.csv), mean final
+weights (_weights.csv) and magnitude responses (_freqresp.csv), then one
+summary.csv; _write_files writes the long files in forked child processes.
 """
 
 from __future__ import annotations
@@ -237,34 +237,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Writer:
-    """Writes CSV files through _write_columns, the long ones in forked children.
+def _write_files(files) -> None:
+    """Write each _write_columns argument tuple of ``files``, the long ones in forked children.
 
-    A file of at least PARALLEL_ROWS rows is queued for a child process when
-    os.fork exists and more than one CPU is usable; every other file is
-    written at once in this process. Children are forked in queue order, at
-    most one in flight per usable CPU: the next starts only once the oldest
-    has been reaped. A child inherits the columns through fork (nothing is
-    copied or pickled), does no BLAS work, and reports a failure's text
-    through a pipe.
+    A file of at least PARALLEL_ROWS rows is queued for a child when os.fork
+    exists and more than one CPU is usable; every other file is written here
+    at once. Children are forked in queue order, at most one per usable CPU.
+    A child inherits the columns through fork (nothing is copied or pickled),
+    does no BLAS work, and reports a failure's text through a pipe. On an
+    error, from ``files`` or a write, the queue is dropped and the running
+    children are reaped; at the end one OSError names every file a child
+    failed to write.
     """
+    slots = _usable_cpus() if hasattr(os, "fork") else 1
+    queued, running, failures = [], [], []  # running: (pid, pipe read end, path), oldest first
 
-    def __init__(self):
-        self.slots = _usable_cpus() if hasattr(os, "fork") else 1
-        self.queued = []  # _write_columns arguments
-        self.running = []  # (pid, pipe read end, path), oldest first
-        self.failures = []
-
-    def write(self, path: Path, header: list[str], row_format: str, columns) -> None:
-        if self.slots > 1 and columns and len(columns[0]) >= PARALLEL_ROWS:
-            self.queued.append((path, header, row_format, columns))
-            self._fork_queued()
-        else:
-            _write_columns(path, header, row_format, columns)
-
-    def _fork_queued(self) -> None:
-        while self.queued and len(self.running) < self.slots:
-            job = self.queued.pop(0)
+    def fork_queued():
+        while queued and len(running) < slots:
+            job = queued.pop(0)
             # a child inherits unflushed output, and would repeat it if it wrote
             # to the same stream (a warning, say)
             for stream in (sys.stdout, sys.stderr):
@@ -281,32 +271,35 @@ class _Writer:
             if pid == 0:
                 _write_in_child(job, read_end, write_end)
             os.close(write_end)
-            self.running.append((pid, read_end, job[0]))
+            running.append((pid, read_end, job[0]))
 
-    def _reap_oldest(self) -> None:
-        pid, read_end, path = self.running.pop(0)
+    def reap_oldest():
+        pid, read_end, path = running.pop(0)
         try:
             with open(read_end, "rb") as pipe:
                 message = pipe.read().decode(errors="replace")
         finally:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if status or message:
-            self.failures.append(
+            failures.append(
                 f"cannot write {path}: {message or f'writer process exited with {status}'}")
 
-    def finish(self) -> None:
-        """Write the queued files, wait for every child and raise OSError if one failed."""
-        while self.running:
-            self._reap_oldest()
-            self._fork_queued()
-        if self.failures:
-            raise OSError("; ".join(self.failures))
-
-    def abandon(self) -> None:
-        """Wait for the children already started and fork no more (after an error)."""
-        self.queued.clear()
-        while self.running:
-            self._reap_oldest()
+    try:
+        for job in files:  # (path, header, row_format, columns)
+            if slots > 1 and job[3] and len(job[3][0]) >= PARALLEL_ROWS:
+                queued.append(job)
+                fork_queued()
+            else:
+                _write_columns(*job)
+        while running:
+            reap_oldest()
+            fork_queued()
+    finally:
+        queued.clear()
+        while running:
+            reap_oldest()
+    if failures:
+        raise OSError("; ".join(failures))
 
 
 def _write_in_child(job, read_end: int, write_end: int) -> None:
@@ -330,7 +323,7 @@ def write_artifacts(spec: ExperimentFile, results: list[VariantResult], out_dir:
     """Write the variants' CSV files and summary.csv into ``out_dir``.
 
     Every file goes through _write_columns, in this process or in a child
-    that _Writer forked, so its bytes depend on the results alone.
+    that _write_files forked, so its bytes depend on the results alone.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -341,32 +334,29 @@ def write_artifacts(spec: ExperimentFile, results: list[VariantResult], out_dir:
     # The plant and every variant share one grid and its phase matrices.
     omegas, (plant_db, *magnitudes_db) = _responses_db([h, *w_means], spec.freq_points)
     omegas_over_pi = omegas / np.pi
-    writer = _Writer()
-    try:
+
+    def files():
         # the traces first: their files are the long ones that children write
         for res in results:
             trace = res.ensemble.trace.values_db
-            writer.write(out / f"{res.name}_mse.csv",
-                         ["iteration", "mse_db", "smoothed_mse_db"], "%d,%.17g,%.17g",
-                         [range(len(trace)), trace, res.smoothed_db])
+            yield (out / f"{res.name}_mse.csv",
+                   ["iteration", "mse_db", "smoothed_mse_db"], "%d,%.17g,%.17g",
+                   [range(len(trace)), trace, res.smoothed_db])
 
         for res, w_mean, magnitude_db in zip(results, w_means, magnitudes_db):
             taps = max(w_mean.shape[0], h.shape[0])
-            writer.write(out / f"{res.name}_weights.csv",
-                         ["tap_index", "adaptive_weight", "plant_weight"], "%d,%.17g,%.17g",
-                         [range(taps)] + [np.pad(v, (0, taps - v.shape[0])) for v in (w_mean, h)])
-            writer.write(out / f"{res.name}_freqresp.csv",
-                         ["omega_over_pi", "magnitude_db", "plant_magnitude_db"],
-                         "%.17g,%.17g,%.17g",
-                         [omegas_over_pi, magnitude_db, plant_db])
-
+            yield (out / f"{res.name}_weights.csv",
+                   ["tap_index", "adaptive_weight", "plant_weight"], "%d,%.17g,%.17g",
+                   [range(taps)] + [np.pad(v, (0, taps - v.shape[0])) for v in (w_mean, h)])
+            yield (out / f"{res.name}_freqresp.csv",
+                   ["omega_over_pi", "magnitude_db", "plant_magnitude_db"], "%.17g,%.17g,%.17g",
+                   [omegas_over_pi, magnitude_db, plant_db])
         summary = [(_csv_text(res.name), res.final_smoothed_db, res.tm.t_m, res.misalignment_db,
                     res.total_multiplies_literal, res.total_multiplies_corrected)
                    for res in results]
-        writer.write(out / "summary.csv",
-                     ["algorithm", "final_smoothed_mse_db", "t_m", "misalignment_db",
-                      "total_multiplies_literal", "total_multiplies_corrected"],
-                     "%s,%.17g,%d,%.17g,%d,%d", list(zip(*summary)))
-        writer.finish()
-    finally:
-        writer.abandon()
+        yield (out / "summary.csv",
+               ["algorithm", "final_smoothed_mse_db", "t_m", "misalignment_db",
+                "total_multiplies_literal", "total_multiplies_corrected"],
+               "%s,%.17g,%d,%.17g,%d,%d", list(zip(*summary)))
+
+    _write_files(files())

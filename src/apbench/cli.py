@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import numbers
 import sys
 from importlib import resources
 from pathlib import Path
@@ -28,7 +29,7 @@ import numpy as np
 from . import selftest as selftest_mod
 from .algorithms import AlgorithmConfig, AlgorithmKind, MuMode, step_multiplies_literal
 from .artifacts import write_artifacts
-from .metrics import TmReport, compute_tm, misalignment_db, smooth
+from .metrics import TmReport, _integer, compute_tm, misalignment_db, smooth
 from .signals import NoiseKind, NoiseSpec, _check_count, design_highpass_fir
 from .sysid import (AdaptationError, EnsembleResult, ExperimentConfig, PlantModel,
                     _shared_signals, run_ensemble)
@@ -73,6 +74,14 @@ class ExperimentFile:
         if not np.linalg.norm(self.plant.h) > 0:
             raise ConfigError("plant coefficients must have a nonzero norm, as misalignment "
                               "is relative to it")
+        # a spec built by dataclasses.replace may hold any type: name the field
+        try:
+            for field in ("smoothing_window", "freq_points"):
+                object.__setattr__(self, field, _integer(field, getattr(self, field)))
+            if not isinstance(self.tm_slack_db, numbers.Real):
+                raise ValueError(f"tm_slack_db must be a number, got {self.tm_slack_db!r}")
+        except ValueError as exc:
+            raise ConfigError(f"invalid experiment file: {exc}") from exc
         if self.smoothing_window < 1:
             raise ConfigError("smoothing_window must be >= 1")
         if not self.tm_slack_db >= 0:
@@ -82,7 +91,7 @@ class ExperimentFile:
         # every variant's full experiment is validated before any run starts
         try:
             for field in ("smoothing_window", "freq_points"):
-                object.__setattr__(self, field, _check_count(field, getattr(self, field)))
+                _check_count(field, getattr(self, field))
             for _, algo in self.variants:
                 self.experiment_config(algo)
         except (ValueError, TypeError) as exc:

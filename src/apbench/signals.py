@@ -114,6 +114,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not self.sigma >= 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if self.sigma == np.inf:
+            raise ValueError("sigma must be finite, got inf")
         object.__setattr__(self, "seed", _check_seed("seed", self.seed))
         if self.kind is NoiseKind.AR1_COLORED and not abs(self.ar_coefficient) < 1:
             raise ValueError(
@@ -124,6 +126,8 @@ class NoiseSpec:
             if not self.fir_coefficients:
                 raise ValueError("fir_coefficients must be a non-empty sequence")
             object.__setattr__(self, "fir_coefficients", tuple(float(c) for c in self.fir_coefficients))
+            if not np.isfinite(self.fir_coefficients).all():
+                raise ValueError(f"fir_coefficients must be finite, got {self.fir_coefficients}")
 
 
 def generate_noise(spec: NoiseSpec, count: int) -> np.ndarray:

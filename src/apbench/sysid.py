@@ -82,10 +82,14 @@ class PlantModel:
         object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
         if self.h.ndim != 1 or self.h.shape[0] < 1:
             raise ValueError("plant h must be a non-empty 1-D coefficient array")
+        if not np.isfinite(self.h).all():
+            raise ValueError(f"plant h must be finite, got {self.h}")
         if not self.measurement_noise_sigma >= 0:
             raise ValueError(
                 f"measurement_noise_sigma must be >= 0, got {self.measurement_noise_sigma}"
             )
+        if self.measurement_noise_sigma == np.inf:
+            raise ValueError("measurement_noise_sigma must be finite, got inf")
 
     @property
     def length(self) -> int:

@@ -386,6 +386,18 @@ class TestRunCommand:
         assert type(replaced.smoothing_window) is int and replaced.smoothing_window == 5
         assert type(replaced.freq_points) is int and replaced.freq_points == 64
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("smoothing_window", "5", "smoothing_window must be an integer, got '5'"),
+        ("tm_slack_db", "a", "tm_slack_db must be a number, got 'a'"),
+        ("freq_points", None, "freq_points must be an integer, got None"),
+    ])
+    def test_a_replaced_field_of_the_wrong_type_is_a_config_error_naming_it(self, tmp_path,
+                                                                           field, value, message):
+        # unchecked, each would end in a bare TypeError when compared with a number
+        spec = load_experiment_file(_write_config(tmp_path, _tiny_config(tmp_path / "out")))
+        with pytest.raises(ConfigError, match=f"^invalid experiment file: {re.escape(message)}$"):
+            dataclasses.replace(spec, **{field: value})
+
     def test_an_all_zero_plant_is_rejected_for_files_and_replaced_specs(self, tmp_path, capsys):
         out = tmp_path / "out"
         path = _write_config(tmp_path, _tiny_config(out, plant={"coefficients": [0.0, -0.0]}))
@@ -1105,6 +1117,23 @@ def test_a_file_a_child_cannot_write_fails_the_run_with_one_line(tmp_path, monke
     assert (log.forks, log.in_flight) == (6, 0)
     _assert_no_child_left()
     assert len((out / "r_ap_mse.csv").read_text().splitlines()) == 61
+
+
+def test_a_file_this_process_cannot_write_reaps_the_children_and_forks_no_more(
+        tmp_path, monkeypatch, capsys):
+    log = _forking(monkeypatch)
+    out = tmp_path / "out"
+    # the 7-row weights files are written here, while both slots hold an _mse.csv child
+    (out / "lms_weights.csv").mkdir(parents=True)
+    assert main(["run", str(_write_config(tmp_path, _tiny_config(out)))]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"runtime error: .*Is a directory: '\S+lms_weights\.csv'\n", err)
+    assert (log.forks, log.in_flight) == (2, 0)
+    _assert_no_child_left()
+    for name in ("lms_mse.csv", "bndr_lms_mse.csv"):
+        assert len((out / name).read_text().splitlines()) == 61
+    # the queued r_ap_mse.csv was dropped, never forked
+    assert not (out / "r_ap_mse.csv").exists()
 
 
 def test_forked_writing_raises_no_warning_in_development_mode(tmp_path):

@@ -519,6 +519,25 @@ def test_a_non_integral_or_wrapping_count_or_seed_fails_at_construction(build, m
         build()
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: AlgorithmConfig(AlgorithmKind.LMS, filter_length=4, mu=np.inf), "mu"),
+    (lambda: AlgorithmConfig(AlgorithmKind.R_AP, filter_length=4, delta=np.inf), "delta"),
+    (lambda: NoiseSpec(NoiseKind.WHITE, sigma=np.inf), "sigma"),
+    (lambda: NoiseSpec(NoiseKind.FIR_COLORED, 1.0, fir_coefficients=[1.0, np.inf]),
+     "fir_coefficients"),
+    (lambda: NoiseSpec(NoiseKind.FIR_COLORED, 1.0, fir_coefficients=[np.nan]),
+     "fir_coefficients"),
+    (lambda: PlantModel(h=[np.inf]), "plant h"),
+    (lambda: PlantModel(h=[1.0, np.nan]), "plant h"),
+    (lambda: PlantModel(h=[1.0], measurement_noise_sigma=np.inf), "measurement_noise_sigma"),
+], ids=["mu", "delta", "noise_sigma", "fir_inf", "fir_nan", "plant_inf", "plant_nan",
+        "measurement_noise_sigma"])
+def test_a_non_finite_parameter_fails_at_construction_naming_its_field(build, field):
+    # unchecked, each would fail only in the run, as a singular Gram or as divergence
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+        build()
+
+
 def test_counts_and_seeds_are_stored_as_the_python_ints_they_were_checked_as():
     algo = AlgorithmConfig(AlgorithmKind.R_AP, filter_length=np.int32(4), mu=0.5,
                            projection_order=np.int64(2), normalization_order=np.uint8(3))
