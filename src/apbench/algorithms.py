@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,33 +58,15 @@ class MuMode(Enum):
 DELTA_SCALE = 1e-6
 
 
-class KindRules(NamedTuple):
-    """Per-kind defaults and pins that AlgorithmConfig applies."""
-
-    projection_order: int  # the default order
-    order_pinned: bool  # no other order is valid
-    mu_mode: MuMode  # the default mode
-    auto_allowed: bool  # if not, mu_mode must be FIXED
-    delta_pinned: bool  # delta must be 0
-    normalize_by_order: bool  # auto kinds' unset normalization order: N if set, else 1
-
-
-KIND_RULES = {
-    AlgorithmKind.LMS: KindRules(1, True, MuMode.FIXED, False, True, False),
-    AlgorithmKind.BNDR_LMS: KindRules(2, True, MuMode.AUTO_NORMALIZED, True, True, False),
-    AlgorithmKind.R_AP: KindRules(2, False, MuMode.AUTO_NORMALIZED, True, False, True),
-}
-
-
 @dataclass(frozen=True)
 class AlgorithmConfig:
     """Validated parameter set for one adaptive algorithm.
 
-    Unset fields are resolved to the per-kind defaults of KIND_RULES: LMS
-    runs with a fixed step size at projection order 1; BNDR-LMS is pinned to
-    order 2; both use no regularization. R_AP defaults to order 2, auto mode
-    and, when ``delta`` is left as None, resolves the regularization constant
-    at experiment time from the excitation variance (DELTA_SCALE * L * Var(x)).
+    Unset fields are resolved to per-kind defaults: LMS runs with a fixed
+    step size at projection order 1; BNDR-LMS is pinned to order 2; both use
+    no regularization. R_AP defaults to order 2, auto mode and, when ``delta``
+    is left as None, resolves the regularization constant at experiment time
+    from the excitation variance (DELTA_SCALE * L * Var(x)).
 
     ``normalization_order`` is the divisor order in the auto step size
     1/(order * ||x||^2): BNDR-LMS defaults to 1 and R_AP to its projection
@@ -114,21 +95,25 @@ class AlgorithmConfig:
                 raise ValueError(f"{field} must be finite, got {getattr(self, field)}")
         if self.mu is not None and not self.mu > 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
-        if self.kind not in KIND_RULES:
+        if not isinstance(self.kind, AlgorithmKind):
             raise ValueError(f"kind must be an AlgorithmKind, got {self.kind!r}")
-        rules, name = KIND_RULES[self.kind], self.kind.value
+        name = self.kind.value
+        lms, r_ap = self.kind is AlgorithmKind.LMS, self.kind is AlgorithmKind.R_AP
 
-        _default("projection_order", rules.projection_order)
-        if rules.order_pinned and self.projection_order != rules.projection_order:
-            raise ValueError(f"{name} requires projection_order == {rules.projection_order}")
+        order = 1 if lms else 2  # the default, and the only valid order unless R_AP
+        _default("projection_order", order)
+        if not r_ap and self.projection_order != order:
+            raise ValueError(f"{name} requires projection_order == {order}")
         _count("projection_order")
-        _default("mu_mode", rules.mu_mode)
-        if not rules.auto_allowed and self.mu_mode is not MuMode.FIXED:
+        _default("mu_mode", MuMode.FIXED if lms else MuMode.AUTO_NORMALIZED)
+        if not isinstance(self.mu_mode, MuMode):
+            raise ValueError(f"mu_mode must be a MuMode, got {self.mu_mode!r}")
+        if lms and self.mu_mode is not MuMode.FIXED:
             raise ValueError(f"{name} uses a fixed step size; auto normalization is not valid")
-        if rules.auto_allowed:
-            _default("normalization_order", self.projection_order if rules.normalize_by_order else 1)
+        if not lms:
+            _default("normalization_order", self.projection_order if r_ap else 1)
 
-        if rules.delta_pinned:
+        if not r_ap:
             if self.delta not in (None, 0, 0.0):
                 raise ValueError(f"{name} requires delta == 0, got {self.delta}")
             object.__setattr__(self, "delta", 0.0)

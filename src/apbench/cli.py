@@ -71,17 +71,26 @@ class ExperimentFile:
     description: str = ""
 
     def __post_init__(self):
-        if not np.linalg.norm(self.plant.h) > 0:
-            raise ConfigError("plant coefficients must have a nonzero norm, as misalignment "
-                              "is relative to it")
         # a spec built by dataclasses.replace may hold any type: name the field
         try:
+            for field, cls in (("plant", PlantModel), ("noise", NoiseSpec)):
+                value = getattr(self, field)
+                if not isinstance(value, cls):
+                    raise ValueError(f"{field} must be a {cls.__name__}, got {value!r}")
+            pairs = self.variants if isinstance(self.variants, (tuple, list)) else [None]
+            if not all(isinstance(pair, tuple) and len(pair) == 2
+                       and isinstance(pair[1], AlgorithmConfig) for pair in pairs):
+                raise ValueError("variants must be (name, AlgorithmConfig) pairs, "
+                                 f"got {self.variants!r}")
             for field in ("smoothing_window", "freq_points"):
                 object.__setattr__(self, field, _integer(field, getattr(self, field)))
             if not isinstance(self.tm_slack_db, numbers.Real):
                 raise ValueError(f"tm_slack_db must be a number, got {self.tm_slack_db!r}")
         except ValueError as exc:
             raise ConfigError(f"invalid experiment file: {exc}") from exc
+        if not np.linalg.norm(self.plant.h) > 0:
+            raise ConfigError("plant coefficients must have a nonzero norm, as misalignment "
+                              "is relative to it")
         if self.smoothing_window < 1:
             raise ConfigError("smoothing_window must be >= 1")
         if not self.tm_slack_db >= 0:

@@ -112,6 +112,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.kind, NoiseKind):
+            raise ValueError(f"kind must be a NoiseKind, got {self.kind!r}")
         if not self.sigma >= 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.sigma == np.inf:

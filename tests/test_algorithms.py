@@ -362,7 +362,13 @@ class TestAlgorithmConfig:
     (lambda: step_multiplies(AlgorithmKind.BNDR_LMS, 4, 3), "BNDR-LMS has projection order 2"),
     (lambda: ap_step(np.zeros(3), np.ones(3), [1.0], 1.0, 0.0),
      r"data matrix must be 2-D, got shape \(3,\)"),
-], ids=["kind", "lms_step_mu", "lms_order", "bndr_lms_order", "ap_step_1d_data"])
+    # unchecked, R_AP ran a string mode as fixed with mu=None and died in a bare TypeError
+    (lambda: AlgorithmConfig(AlgorithmKind.R_AP, 4, mu_mode="auto"),
+     "mu_mode must be a MuMode, got 'auto'"),
+    (lambda: AlgorithmConfig(AlgorithmKind.LMS, 4, mu=0.1, mu_mode="fixed"),
+     "mu_mode must be a MuMode, got 'fixed'"),
+], ids=["kind", "lms_step_mu", "lms_order", "bndr_lms_order", "ap_step_1d_data",
+        "r_ap_mu_mode_string", "lms_mu_mode_string"])
 def test_invalid_arguments_are_rejected_with_their_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()

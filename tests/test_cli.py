@@ -390,10 +390,14 @@ class TestRunCommand:
         ("smoothing_window", "5", "smoothing_window must be an integer, got '5'"),
         ("tm_slack_db", "a", "tm_slack_db must be a number, got 'a'"),
         ("freq_points", None, "freq_points must be an integer, got None"),
+        ("plant", None, "plant must be a PlantModel, got None"),
+        ("noise", "white", "noise must be a NoiseSpec, got 'white'"),
+        ("variants", [("a", "lms")],
+         "variants must be (name, AlgorithmConfig) pairs, got [('a', 'lms')]"),
     ])
     def test_a_replaced_field_of_the_wrong_type_is_a_config_error_naming_it(self, tmp_path,
                                                                            field, value, message):
-        # unchecked, each would end in a bare TypeError when compared with a number
+        # unchecked, each would end in a bare TypeError or AttributeError
         spec = load_experiment_file(_write_config(tmp_path, _tiny_config(tmp_path / "out")))
         with pytest.raises(ConfigError, match=f"^invalid experiment file: {re.escape(message)}$"):
             dataclasses.replace(spec, **{field: value})
@@ -654,6 +658,19 @@ def test_bundled_white_artifacts_keep_their_bytes(tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in WHITE_ARTIFACT_SHA256}
     assert digests == WHITE_ARTIFACT_SHA256
+
+
+def test_the_blas_thread_count_does_not_change_the_bytes(tmp_path):
+    # OpenBLAS may split a large enough product across its threads; that must change no bit
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads}
+        command = [sys.executable, "-m", "apbench.cli", "run", "white", "--out", str(out)]
+        proc = subprocess.run(command, capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        files[threads] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(files["1"]) == 10 and files["1"] == files["2"]
 
 
 def _bulk_path_inputs():

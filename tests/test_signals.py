@@ -277,3 +277,15 @@ def test_an_invalid_frequency_response_is_rejected_with_its_message(omegas, magn
                                                                     message):
     with pytest.raises(ValueError, match=message):
         FrequencyResponse(omegas, magnitude_db)
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("white", {"ar_coefficient": 0.5}),
+    ("ar1", {"ar_coefficient": 1.5}),
+    ("fir", {"fir_coefficients": (1.0, 0.5)}),
+])
+def test_a_noise_kind_given_as_a_string_is_rejected_with_its_message(kind, extra):
+    # unchecked, "white" ran the AR(1) branch, "ar1" skipped the stability check and
+    # input_variance took "fir" down a branch that failed inside matmul
+    with pytest.raises(ValueError, match=f"^kind must be a NoiseKind, got '{kind}'$"):
+        NoiseSpec(kind, 1.0, **extra)
