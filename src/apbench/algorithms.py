@@ -20,7 +20,7 @@ import numpy as np
 from .linalg import SingularMatrixError, residual_error, singular_error, solve_stacked
 # not called here; it stays a module attribute for code that looks it up or wraps it here
 from .linalg import solve_regularized  # noqa: F401
-from .signals import TapDelayLine, _check_count
+from .signals import TapDelayLine, _check_count, _check_real
 
 __all__ = [
     "AlgorithmKind",
@@ -90,11 +90,8 @@ class AlgorithmConfig:
             object.__setattr__(self, field, _check_count(field, getattr(self, field)))
 
         _count("filter_length")
-        for field in ("mu", "delta"):  # nan fails the range checks below
-            if getattr(self, field) in (np.inf, -np.inf):
-                raise ValueError(f"{field} must be finite, got {getattr(self, field)}")
-        if self.mu is not None and not self.mu > 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
+        if self.mu is not None:
+            _check_real("mu", self.mu, 0, strict=True)
         if not isinstance(self.kind, AlgorithmKind):
             raise ValueError(f"kind must be an AlgorithmKind, got {self.kind!r}")
         name = self.kind.value
@@ -117,8 +114,8 @@ class AlgorithmConfig:
             if self.delta not in (None, 0, 0.0):
                 raise ValueError(f"{name} requires delta == 0, got {self.delta}")
             object.__setattr__(self, "delta", 0.0)
-        elif self.delta is not None and not self.delta >= 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        elif self.delta is not None:
+            _check_real("delta", self.delta, 0)
 
         if self.mu_mode is MuMode.FIXED and self.mu is None:
             raise ValueError("mu is required when mu_mode is FIXED")
@@ -227,8 +224,7 @@ def _ap_correct(w, X, eps, mu):
 
 def lms_step(w, x, desired: float, mu: float) -> tuple[np.ndarray, StepOutcome]:
     """One LMS update: y = w.x, e = d - y, w' = w + mu*e*x."""
-    if not mu > 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
+    _check_real("mu", mu, 0, strict=True)
     wv = np.asarray(w, dtype=float)
     xv = _as_vector(x)
     w_new, y, e = lms_update(wv, xv, desired, mu)
@@ -245,8 +241,7 @@ def ap_step(w, data, d_vec, mu: float, delta: float) -> tuple[np.ndarray, StepOu
     SingularMatrixError when the Gram matrix is numerically singular (with
     delta = 0) and ArithmeticError when the solve misses the residual bound.
     """
-    if not mu > 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
+    _check_real("mu", mu, 0, strict=True)
     wv = np.asarray(w, dtype=float)
     X = _as_rows(data)
     d = np.asarray(d_vec, dtype=float)

@@ -329,9 +329,9 @@ def write_artifacts(spec: ExperimentFile, results: list[VariantResult], out_dir:
     out.mkdir(parents=True, exist_ok=True)
     h = spec.plant.h
     w_means = [res.ensemble.final_weights_mean for res in results]
-    # every response is evaluated before a child is forked: with the children
-    # busy on every CPU, the BLAS threads made each evaluation 3-4x slower.
-    # The plant and every variant share one grid and its phase matrices.
+    # every response is evaluated in one call before a child is forked: the
+    # plant and every variant share one grid and its phase matrices, and no
+    # child competes with the evaluation for a CPU
     omegas, (plant_db, *magnitudes_db) = _responses_db([h, *w_means], spec.freq_points)
     omegas_over_pi = omegas / np.pi
 

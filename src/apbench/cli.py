@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import numbers
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -56,7 +57,8 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentFile:
-    """Parsed and validated experiment description."""
+    """Parsed and validated experiment description: all but the JSON rules are
+    checked here, so a replaced spec fails as its file would, naming its keys."""
 
     plant: PlantModel
     noise: NoiseSpec
@@ -73,12 +75,14 @@ class ExperimentFile:
     def __post_init__(self):
         # a spec built by dataclasses.replace may hold any type: name the field
         try:
-            for field, cls in (("plant", PlantModel), ("noise", NoiseSpec)):
+            for field, cls in (("plant", PlantModel), ("noise", NoiseSpec),
+                               ("output_dir", str), ("description", str)):
                 value = getattr(self, field)
                 if not isinstance(value, cls):
-                    raise ValueError(f"{field} must be a {cls.__name__}, got {value!r}")
-            pairs = self.variants if isinstance(self.variants, (tuple, list)) else [None]
-            if not all(isinstance(pair, tuple) and len(pair) == 2
+                    kind = "string" if cls is str else cls.__name__
+                    raise ValueError(f"{field} must be a {kind}, got {value!r}")
+            pairs = self.variants if isinstance(self.variants, tuple) else [None]
+            if not all(isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str)
                        and isinstance(pair[1], AlgorithmConfig) for pair in pairs):
                 raise ValueError("variants must be (name, AlgorithmConfig) pairs, "
                                  f"got {self.variants!r}")
@@ -88,15 +92,22 @@ class ExperimentFile:
                 raise ValueError(f"tm_slack_db must be a number, got {self.tm_slack_db!r}")
         except ValueError as exc:
             raise ConfigError(f"invalid experiment file: {exc}") from exc
-        if not np.linalg.norm(self.plant.h) > 0:
-            raise ConfigError("plant coefficients must have a nonzero norm, as misalignment "
-                              "is relative to it")
-        if self.smoothing_window < 1:
-            raise ConfigError("smoothing_window must be >= 1")
-        if not self.tm_slack_db >= 0:
-            raise ConfigError("tm_slack_db must be >= 0")
-        if self.freq_points < 2:
-            raise ConfigError("freq_points must be >= 2")
+        # each variant name is the stem of its CSV files in the output directory
+        names = [name for name, _ in self.variants]
+        for holds, message in [
+            (names, "algorithms must be a non-empty list"),
+            *((re.fullmatch(r"[\w.-]+", name, re.ASCII),
+               f"algorithms[{i}].name must be non-empty and filesystem-safe, got {name!r}")
+              for i, name in enumerate(names)),
+            (len(set(names)) == len(names), "algorithm variant names must be unique"),
+            (np.linalg.norm(self.plant.h) > 0,
+             "plant coefficients must have a nonzero norm, as misalignment is relative to it"),
+            (self.smoothing_window >= 1, "smoothing_window must be >= 1"),
+            (self.tm_slack_db >= 0, "tm_slack_db must be >= 0"),
+            (self.freq_points >= 2, "freq_points must be >= 2"),
+        ]:
+            if not holds:
+                raise ConfigError(message)
         # every variant's full experiment is validated before any run starts
         try:
             for field in ("smoothing_window", "freq_points"):
@@ -237,8 +248,6 @@ def _parse_variant(obj, index: int) -> tuple[str, AlgorithmConfig]:
         "normalization_order": None,
     })
     name = _text(fields["name"], f"{ctx}.name")
-    if not name or any(c not in "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-." for c in name):
-        raise ConfigError(f"{ctx}.name must be non-empty and filesystem-safe, got {name!r}")
     kind = _enum(AlgorithmKind, _require(fields["kind"], f"{ctx}.kind"), f"{ctx}.kind")
     mu_mode = None if fields["mu_mode"] is None else \
         _enum(MuMode, fields["mu_mode"], f"{ctx}.mu_mode")
@@ -286,21 +295,16 @@ def load_experiment_file(path: Path) -> ExperimentFile:
     })
     plant = _parse_plant(_require(fields["plant"], "plant"))
     noise = _parse_noise(_require(fields["noise"], "noise"))
-    variants_raw = _require(fields["algorithms"], "algorithms")
-    if not isinstance(variants_raw, list) or not variants_raw:
+    variants = _require(fields["algorithms"], "algorithms")
+    if not isinstance(variants, list):
         raise ConfigError("algorithms must be a non-empty list")
-    variants = tuple(_parse_variant(v, i) for i, v in enumerate(variants_raw))
-    names = [n for n, _ in variants]
-    if len(set(names)) != len(names):
-        raise ConfigError("algorithm variant names must be unique")
-
     return ExperimentFile(
         plant=plant,
         noise=noise,
         iterations=_int(fields["iterations"], "iterations"),
         ensemble_runs=_int(fields["ensemble_runs"], "ensemble_runs"),
         base_seed=_int(fields["base_seed"], "base_seed"),
-        variants=variants,
+        variants=tuple(_parse_variant(v, i) for i, v in enumerate(variants)),
         output_dir=_text(fields["output_dir"], "output_dir"),
         smoothing_window=_int(fields["smoothing_window"], "smoothing_window"),
         tm_slack_db=_float(fields["tm_slack_db"], "tm_slack_db"),

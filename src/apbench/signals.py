@@ -29,9 +29,9 @@ __all__ = [
 # magnitudes below this are clamped before taking logs: 1e-15, exactly
 MAG_FLOOR = 10.0 ** (MSE_FLOOR_DB / 20.0)
 
-# frequencies evaluated per block in frequency_response: its phase matrix is
-# at most this many rows x taps (1 MB of complex128 at 64 taps)
-FREQ_BLOCK_ROWS = 1024
+# the most phases (rows x taps) in one frequency_response block: OpenBLAS threads
+# a longer complex product, and a threaded call may stall for milliseconds
+FREQ_BLOCK_ENTRIES = 4095
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -56,6 +56,15 @@ def _check_seed(name: str, seed) -> int:
     if not 0 <= seed <= _SEED_MASK:
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed}")
     return seed
+
+
+def _check_real(name: str, value, low=None, strict=False):
+    """The one rule for a real or a vector of reals: finite and, given low, >= low (> if strict)."""
+    if low is not None and not (value > low if strict else value >= low):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 class TapDelayLine:
@@ -114,10 +123,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not isinstance(self.kind, NoiseKind):
             raise ValueError(f"kind must be a NoiseKind, got {self.kind!r}")
-        if not self.sigma >= 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.sigma == np.inf:
-            raise ValueError("sigma must be finite, got inf")
+        _check_real("sigma", self.sigma, 0)
         object.__setattr__(self, "seed", _check_seed("seed", self.seed))
         if self.kind is NoiseKind.AR1_COLORED and not abs(self.ar_coefficient) < 1:
             raise ValueError(
@@ -127,9 +133,8 @@ class NoiseSpec:
         if self.kind is NoiseKind.FIR_COLORED:
             if not self.fir_coefficients:
                 raise ValueError("fir_coefficients must be a non-empty sequence")
-            object.__setattr__(self, "fir_coefficients", tuple(float(c) for c in self.fir_coefficients))
-            if not np.isfinite(self.fir_coefficients).all():
-                raise ValueError(f"fir_coefficients must be finite, got {self.fir_coefficients}")
+            object.__setattr__(self, "fir_coefficients", _check_real(
+                "fir_coefficients", tuple(float(c) for c in self.fir_coefficients)))
 
 
 def generate_noise(spec: NoiseSpec, count: int) -> np.ndarray:
@@ -221,7 +226,7 @@ class FrequencyResponse:
 def frequency_response(w, k_points: int) -> FrequencyResponse:
     """Evaluate 20*log10|H(e^{j omega})| at k_points frequencies on [0, pi].
 
-    Blocks of at most FREQ_BLOCK_ROWS frequencies bound the phase matrix
+    Blocks of at most FREQ_BLOCK_ENTRIES phases bound the phase matrix
     without changing a bit of the result. A perfect null reads -300 dB.
     """
     omegas, (magnitude_db,) = _responses_db([w], k_points)
@@ -240,10 +245,11 @@ def _responses_db(vectors, k_points: int):
     omegas = np.linspace(0.0, np.pi, k_points)
     taps = np.arange(max(c.shape[0] for c in coeffs))
     mags = np.empty((len(coeffs), k_points))
-    # equal blocks of at most FREQ_BLOCK_ROWS rows, never a single row: numpy
-    # evaluates a one-row product as a vector dot product, which sums in a
-    # different order than the matrix-vector product and changes the last bit
-    blocks = -(-k_points // FREQ_BLOCK_ROWS)
+    # equal blocks of at most FREQ_BLOCK_ENTRIES phases (3 rows at any length),
+    # so never a single row: numpy evaluates a one-row product as a vector dot
+    # product, which sums in a different order than the matrix-vector product
+    # and changes the last bit
+    blocks = -(-k_points // max(3, FREQ_BLOCK_ENTRIES // taps.shape[0]))
     for i in range(blocks):
         rows = slice(i * k_points // blocks, (i + 1) * k_points // blocks)
         phase = np.exp(-1j * np.outer(omegas[rows], taps))

@@ -29,8 +29,8 @@ from .algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, _ap_correct, _a
 from .algorithms import ap_step  # noqa: F401
 from .linalg import residual_error, singular_error
 from .metrics import MseTrace, _db
-from .signals import (_SEED_MASK, NoiseKind, NoiseSpec, _check_count, _check_seed,
-                      generate_noise, input_variance)
+from .signals import (_SEED_MASK, NoiseKind, NoiseSpec, _check_count, _check_real,
+                      _check_seed, generate_noise, input_variance)
 
 __all__ = [
     "PlantModel",
@@ -82,14 +82,8 @@ class PlantModel:
         object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
         if self.h.ndim != 1 or self.h.shape[0] < 1:
             raise ValueError("plant h must be a non-empty 1-D coefficient array")
-        if not np.isfinite(self.h).all():
-            raise ValueError(f"plant h must be finite, got {self.h}")
-        if not self.measurement_noise_sigma >= 0:
-            raise ValueError(
-                f"measurement_noise_sigma must be >= 0, got {self.measurement_noise_sigma}"
-            )
-        if self.measurement_noise_sigma == np.inf:
-            raise ValueError("measurement_noise_sigma must be finite, got inf")
+        _check_real("plant h", self.h)
+        _check_real("measurement_noise_sigma", self.measurement_noise_sigma, 0)
 
     @property
     def length(self) -> int:

@@ -58,6 +58,9 @@ def _tiny_config(out_dir, **overrides):
     return config
 
 
+_LMS7 = AlgorithmConfig(AlgorithmKind.LMS, filter_length=7, mu=0.05)
+
+
 def _write_config(tmp_path, config, name="exp.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
@@ -394,13 +397,28 @@ class TestRunCommand:
         ("noise", "white", "noise must be a NoiseSpec, got 'white'"),
         ("variants", [("a", "lms")],
          "variants must be (name, AlgorithmConfig) pairs, got [('a', 'lms')]"),
+        ("output_dir", None, "output_dir must be a string, got None"),
+        ("description", 3, "description must be a string, got 3"),
+        # the variant rules: a replaced spec fails with the line a file fails with
+        pytest.param("variants", (("../escaped", _LMS7),),
+                     "algorithms[0].name must be non-empty and filesystem-safe, got '../escaped'",
+                     id="escaped_name"),
+        pytest.param("variants", (("", _LMS7),),
+                     "algorithms[0].name must be non-empty and filesystem-safe, got ''",
+                     id="empty_name"),
+        pytest.param("variants", (("a", _LMS7), ("a", _LMS7)),
+                     "algorithm variant names must be unique", id="duplicate_names"),
+        pytest.param("variants", (), "algorithms must be a non-empty list", id="no_variants"),
     ])
     def test_a_replaced_field_of_the_wrong_type_is_a_config_error_naming_it(self, tmp_path,
                                                                            field, value, message):
-        # unchecked, each would end in a bare TypeError or AttributeError
+        # unchecked, each would end in a bare TypeError or AttributeError, run no
+        # variant, or write CSV files that overwrite each other or lie outside out
         spec = load_experiment_file(_write_config(tmp_path, _tiny_config(tmp_path / "out")))
-        with pytest.raises(ConfigError, match=f"^invalid experiment file: {re.escape(message)}$"):
+        prefix = "" if message.startswith("algorithm") else "invalid experiment file: "
+        with pytest.raises(ConfigError, match=f"^{re.escape(prefix + message)}$"):
             dataclasses.replace(spec, **{field: value})
+        assert [path.name for path in tmp_path.iterdir()] == ["exp.json"]
 
     def test_an_all_zero_plant_is_rejected_for_files_and_replaced_specs(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -574,12 +592,6 @@ def _crafted_results(rows):
         values[rng.integers(0, rows, 4 * picks.size)] = np.tile(picks, 4)
         return values
 
-    spec = ExperimentFile(
-        plant=PlantModel(h=[-0.0, 5e-324, 0.5, -1e-300, 1.0]),
-        noise=NoiseSpec(NoiseKind.WHITE, sigma=1.0),
-        iterations=rows, ensemble_runs=1, base_seed=0,
-        variants=(), freq_points=rows,
-    )
     results = []
     for name, weights, t_m, misalignment in [
         ("r_ap.order-4", [1e308, -0.0, 5e-324, -1e-310, 0.25, 3.0, -7.5], 0, -np.inf),
@@ -596,6 +608,12 @@ def _crafted_results(rows):
             misalignment_db=misalignment, total_multiplies_corrected=2**62 + 1,
             total_multiplies_literal=3,
         ))
+    spec = ExperimentFile(
+        plant=PlantModel(h=[-0.0, 5e-324, 0.5, -1e-300, 1.0]),
+        noise=NoiseSpec(NoiseKind.WHITE, sigma=1.0),
+        iterations=rows, ensemble_runs=1, base_seed=0,
+        variants=tuple((res.name, res.algorithm) for res in results), freq_points=rows,
+    )
     return spec, results
 
 

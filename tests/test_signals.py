@@ -1,6 +1,7 @@
 """Tests for tap-delay lines, noise generation and FIR design."""
 
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apbench.signals import (
-    FREQ_BLOCK_ROWS,
+    FREQ_BLOCK_ENTRIES,
     MAG_FLOOR,
     FrequencyResponse,
     NoiseKind,
@@ -240,10 +241,11 @@ class TestFrequencyResponse:
         with pytest.raises(ValueError):
             frequency_response([1.0], 1)
 
-    @pytest.mark.parametrize("taps", [1, 13, 64])
-    @pytest.mark.parametrize("k_points", [
-        2, FREQ_BLOCK_ROWS - 1, FREQ_BLOCK_ROWS, FREQ_BLOCK_ROWS + 1,
-        2 * FREQ_BLOCK_ROWS + 1, 2 * FREQ_BLOCK_ROWS + 3,
+    @pytest.mark.parametrize("k_points, taps", [
+        *itertools.product([2, 1023, 1024, 1025, 2049, 2051], [1, 13, 64]),
+        # one full block of FREQ_BLOCK_ENTRIES // taps rows, one row short of it
+        # and one row past it (two blocks)
+        *((FREQ_BLOCK_ENTRIES // taps + d, taps) for taps in (13, 64) for d in (-1, 0, 1)),
     ])
     def test_blocks_equal_the_one_shot_formula_bit_for_bit(self, k_points, taps):
         omegas = np.linspace(0.0, np.pi, k_points)
