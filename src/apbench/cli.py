@@ -31,7 +31,7 @@ from . import selftest as selftest_mod
 from .algorithms import AlgorithmConfig, AlgorithmKind, MuMode, step_multiplies_literal
 from .artifacts import write_artifacts
 from .metrics import TmReport, _integer, compute_tm, misalignment_db, smooth
-from .signals import NoiseKind, NoiseSpec, _check_count, design_highpass_fir
+from .signals import NoiseKind, NoiseSpec, _check_count, _check_real, design_highpass_fir
 from .sysid import (AdaptationError, EnsembleResult, ExperimentConfig, PlantModel,
                     _shared_signals, run_ensemble)
 
@@ -94,13 +94,15 @@ class ExperimentFile:
             raise ConfigError(f"invalid experiment file: {exc}") from exc
         # each variant name is the stem of its CSV files in the output directory
         names = [name for name, _ in self.variants]
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(self.plant.h)
         for holds, message in [
             (names, "algorithms must be a non-empty list"),
             *((re.fullmatch(r"[\w.-]+", name, re.ASCII),
                f"algorithms[{i}].name must be non-empty and filesystem-safe, got {name!r}")
               for i, name in enumerate(names)),
             (len(set(names)) == len(names), "algorithm variant names must be unique"),
-            (np.linalg.norm(self.plant.h) > 0,
+            (norm > 0,
              "plant coefficients must have a nonzero norm, as misalignment is relative to it"),
             (self.smoothing_window >= 1, "smoothing_window must be >= 1"),
             (self.tm_slack_db >= 0, "tm_slack_db must be >= 0"),
@@ -112,6 +114,7 @@ class ExperimentFile:
         try:
             for field in ("smoothing_window", "freq_points"):
                 _check_count(field, getattr(self, field))
+            _check_real("plant norm", norm)
             for _, algo in self.variants:
                 self.experiment_config(algo)
         except (ValueError, TypeError) as exc:

@@ -111,11 +111,17 @@ class ExperimentConfig:
         object.__setattr__(self, "base_seed", _check_seed("base_seed", self.base_seed))
         if self.noise.sigma <= 0:
             raise ValueError(f"noise.sigma must be > 0, got {self.noise.sigma}")
-        # a silent input excites nothing: every error, and so every curve, would be 0
-        variance = input_variance(self.noise)
+        # a silent input excites nothing: every error, and so every curve, would be 0; an
+        # infinite one (finite but huge sigma or taps) would diverge at the first step
+        with np.errstate(over="ignore"):
+            try:
+                variance = input_variance(self.noise)
+            except OverflowError:  # sigma**2 of a Python float
+                variance = float("inf")
         if not variance > 0:
             raise ValueError("noise.sigma and noise.fir_coefficients must give the input a "
                              f"variance > 0, got {variance}")
+        _check_real("input variance", variance)
         if self.algorithm.filter_length < self.plant.length:
             warnings.warn(
                 f"filter_length {self.algorithm.filter_length} is shorter than the "

@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import decimal
 import gc
-import hashlib
 import json
 import os
 import re
@@ -34,6 +33,8 @@ from apbench.metrics import MseTrace, TmReport
 from apbench.signals import (MAX_COUNT, NoiseKind, NoiseSpec, design_highpass_fir,
                              frequency_response)
 from apbench.sysid import AdaptationError, EnsembleResult, PlantModel, RunResult, run_ensemble
+
+import pins
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(apbench.linalg.__file__)))
 
@@ -70,19 +71,6 @@ def _write_config(tmp_path, config, name="exp.json"):
 ARTIFACTS = ["lms_mse.csv", "lms_weights.csv", "lms_freqresp.csv",
              "bndr_lms_mse.csv", "bndr_lms_weights.csv", "bndr_lms_freqresp.csv",
              "r_ap_mse.csv", "r_ap_weights.csv", "r_ap_freqresp.csv", "summary.csv"]
-
-
-# sha256 of the FIR-colored tiny run's artifacts, taken while scipy.signal.lfilter
-# colored the noise. The _freqresp.csv files are left out, as for the white run.
-FIR_ARTIFACT_SHA256 = {
-    "lms_mse.csv": "99b9d8491bddf827785d5bf0f8f4b2ff3d90dba7af969b6819c8b4853816c524",
-    "lms_weights.csv": "24caee6ecbcf752c66bce2e9dd6d2a1890578a26c12745d272ea58722847a48a",
-    "bndr_lms_mse.csv": "0ba60cade3f45be07b28f2c19ad615f9e506d52d218f3b459167896b6c3bdc1b",
-    "bndr_lms_weights.csv": "fb717ed68bf541e929aebfccaee5fbe25293294dd88eb0b165ec22c3f3971083",
-    "r_ap_mse.csv": "11a468371d8daa693b5efb33d6a56c544f360002f0a8c412111114958018c8d2",
-    "r_ap_weights.csv": "c060f9c0b07417ae89d7dd28efa737393ef01a3522bfa3ef587ba39d056d4383",
-    "summary.csv": "a9faf5e677178fc701d06b933a6529cc43c0711d986ad643f5ba3d2b5277f6cb",
-}
 
 
 class TestDesignCommand:
@@ -206,9 +194,8 @@ class TestRunCommand:
                                           "fir_coefficients": [1.0, 0.5, 0.25]})
         path = _write_config(tmp_path, config)
         assert main(["run", str(path)]) == 0
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in FIR_ARTIFACT_SHA256}
-        assert digests == FIR_ARTIFACT_SHA256
+        pins.assert_pinned(pins.file_sha256(out, pins.FIR_ARTIFACT_SHA256),
+                           pins.FIR_ARTIFACT_SHA256)
 
     def test_cross_kind_noise_keys_rejected(self, tmp_path):
         out = tmp_path / "out"
@@ -430,6 +417,25 @@ class TestRunCommand:
         spec = load_experiment_file(_write_config(tmp_path, _tiny_config(out), "ok.json"))
         with pytest.raises(ConfigError, match=f"^{message}$"):
             dataclasses.replace(spec, plant=PlantModel(h=[0.0]))
+
+    @pytest.mark.parametrize("patch, message", [
+        pytest.param({"noise": {"kind": "fir", "sigma": 1.0, "fir_coefficients": [1e308, 1e308]}},
+                     "input variance must be finite, got inf", id="fir_taps"),
+        pytest.param({"noise": {"kind": "white", "sigma": 1e200}},
+                     "input variance must be finite, got inf", id="sigma"),
+        pytest.param({"plant": {"coefficients": [1.0, 1e308]}},
+                     "plant norm must be finite, got inf", id="plant_coefficients"),
+    ])
+    def test_finite_values_that_overflow_the_variance_or_plant_norm_fail_validation(
+            self, tmp_path, capsys, patch, message):
+        # unchecked, each would warn of an overflow and end as a runtime failure (exit 2)
+        out = tmp_path / "out"
+        path = _write_config(tmp_path, _tiny_config(out, **patch))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: invalid experiment file: {message}\n"
+        assert not out.exists()
 
     def test_noise_seed_key_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -656,26 +662,11 @@ def test_artifacts_are_byte_identical_to_the_per_cell_csv_writer(chunk_rows, tmp
                            f"lms_2,{final[1]},{rows - 1},nan,3,{2**62 + 1}"]
 
 
-# sha256 of the bundled white run's artifacts, taken before the projection loop
-# was blocked. The _freqresp.csv files are left out: their last bits depend on
-# the BLAS kernel that evaluates the frequency response.
-WHITE_ARTIFACT_SHA256 = {
-    "lms_mse.csv": "cb8b3a158d015de3090a92f928b45daae47540d85d9d4c0e99f1893768730c6e",
-    "lms_weights.csv": "38660bab2b1cffe469ae2587cf56b22ec214a7f912760e63605b90eeb1eb0bb7",
-    "bndr_lms_mse.csv": "47bb921c93ed15fa6f64993859d7b5705be347b1ad0d88a04eeca2e6aafca807",
-    "bndr_lms_weights.csv": "877af92ee333a4fdd22a83dae9c72e9650428e4d348821b9949f5a4ed9432b21",
-    "r_ap_mse.csv": "d13f3611d691de4892395df564beed6a5a263e7d25fde6bbeacd9f49c6810a1f",
-    "r_ap_weights.csv": "0d49c9efb9bddb2fe42902e3c92432acdcad365500142ced52ef0d5a56576a78",
-    "summary.csv": "f2bda99658507be33980e83519e547578d6e96da7cbbe111e71c0d69fe12b065",
-}
-
-
 def test_bundled_white_artifacts_keep_their_bytes(tmp_path, capsys):
     assert main(["run", "white", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in WHITE_ARTIFACT_SHA256}
-    assert digests == WHITE_ARTIFACT_SHA256
+    pins.assert_pinned(pins.file_sha256(tmp_path, pins.WHITE_ARTIFACT_SHA256),
+                       pins.WHITE_ARTIFACT_SHA256)
 
 
 def test_the_blas_thread_count_does_not_change_the_bytes(tmp_path):
@@ -1180,9 +1171,8 @@ def test_forked_writing_raises_no_warning_in_development_mode(tmp_path):
                           capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": SRC})
     assert (proc.returncode, proc.stderr) == (0, "")
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in WHITE_ARTIFACT_SHA256}
-    assert digests == WHITE_ARTIFACT_SHA256
+    pins.assert_pinned(pins.file_sha256(tmp_path, pins.WHITE_ARTIFACT_SHA256),
+                       pins.WHITE_ARTIFACT_SHA256)
 
 
 class TestSelftestCommand:

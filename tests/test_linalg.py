@@ -10,6 +10,8 @@ from apbench import selftest
 from apbench.algorithms import ap_step
 from apbench.linalg import RESIDUAL_RTOL, SingularMatrixError, solve_regularized, solve_stacked
 
+import pins
+
 
 def test_identity_system():
     x = solve_regularized(np.eye(2), 0.0, [3.0, 4.0])
@@ -195,11 +197,6 @@ def _single_systems(count=2000, seed=1414):
         yield gram, delta, rng.standard_normal(n), skip
 
 
-# sha256 over (x, singular, inexact) of every _single_systems() solve, taken
-# while a single system still ran on Python floats
-_SINGLE_DIGEST = "bfe6ba10806ac746e7df962f67c850e289f669d7d93c70e84d27fc58bcb11263"
-
-
 def test_single_systems_keep_every_bit_and_match_one_member_stacks():
     digest = hashlib.sha256()
     with np.errstate(all="ignore"):
@@ -210,7 +207,7 @@ def test_single_systems_keep_every_bit_and_match_one_member_stacks():
             assert (singular, inexact) == (stack[1][0], stack[2][0])
             for v in (x, singular, inexact):
                 digest.update(np.asarray(v).tobytes())
-    assert digest.hexdigest() == _SINGLE_DIGEST
+    pins.assert_pinned(digest.hexdigest(), pins.SINGLE_SYSTEMS_SHA256)
 
 
 def test_finite_psd_systems_raise_no_warning():

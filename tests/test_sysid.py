@@ -21,6 +21,8 @@ from apbench.sysid import (
     run_single,
 )
 
+import pins
+
 WHITE = NoiseSpec(NoiseKind.WHITE, sigma=1.0)
 
 
@@ -588,32 +590,6 @@ _BLOCK_CASES = {
         NoiseSpec(NoiseKind.FIR_COLORED, sigma=1.0, fir_coefficients=[0.0, 1.0, 0.5]), 0.0, 100,
         15, design_highpass_fir(63, 0.4)),
 }
-# sha256 of every run_single and run_ensemble outcome (or of the batch as
-# _adapt left it, when the ensemble fails), taken before the block loop
-# (r_ap2_recovers_mid_block: before the per-block residual check;
-# r_ap6_delta0_l64_fir_leading_zero: before the per-step blocks called ap_update)
-_BLOCK_DIGESTS = {
-    "bndr_auto":
-        "16ec85442083ba1c64b2ab5dc787289c729f062f1eaf1c133be6f2682f3bc661",
-    "bndr_auto_fir_leading_zero":
-        "4ad82036e7d0aef447a6bb89fbeb3c90e038de271a76825b443d4fa698ccb0df",
-    "r_ap3_delta0":
-        "da887b9f0cc1f3785bc211478163efb9f38a1c8f6f855eedc6cd7e2df8266b0d",
-    "r_ap3_delta1e-8":
-        "12e0ccc4b4095cc7f45aac2f5e57377bf9a04c13dc4d099c14975e0eb0edb45c",
-    "r_ap4_delta0":
-        "223c6c7a6fdb52b7552789e25df97178062edd504162d9421809e80218fd1606",
-    "r_ap4_delta1e-8":
-        "80e598b1b3873da54c1f82402987757a7cc4ebf5b502c2e04e46e8b0d89cb2dd",
-    "r_ap4_delta0_fir_leading_zero":
-        "9594a6b90c78cbacd288cb0fd2cd380d76c11ba95fd2d258f5019f8ebc6f9418",
-    "r_ap2_fails_mid_block":
-        "0cb60a652bcf01327714163174c4e40d04c635868565027d23889f4cce48179c",
-    "r_ap2_recovers_mid_block":
-        "8e3ce4f711a23b7ea011f5b10af34cc6114a098775d6d2d9f8c0820a33d8cb58",
-    "r_ap6_delta0_l64_fir_leading_zero":
-        "a5f22a6503990f9387d8c37095c96ec9355e724989d5a59a28a2628a60733ff4",
-}
 
 
 def _block_case(name):
@@ -671,7 +647,7 @@ def test_projection_blocks_keep_every_bit(name, monkeypatch):
 
     monkeypatch.setattr(sysid, "_shed_rows", counted_shed_rows)
     config = _block_case(name)
-    assert _block_digest(config) == _BLOCK_DIGESTS[name]
+    pins.assert_pinned(_block_digest(config), pins.PROJECTION_BLOCK_SHA256[name])
     # the cases cover what they are named for
     if name.endswith("fir_leading_zero"):
         assert sheds
