@@ -29,8 +29,8 @@ from .algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, _ap_correct, _a
 from .algorithms import ap_step  # noqa: F401
 from .linalg import residual_error, singular_error
 from .metrics import MseTrace, _db
-from .signals import (_SEED_MASK, NoiseKind, NoiseSpec, _check_count, _check_real,
-                      _check_seed, generate_noise, input_variance)
+from .signals import (_SEED_MASK, AR1_COLUMN_ROWS, NoiseKind, NoiseSpec, _ar1_rows,
+                      _check_count, _check_real, _check_seed, generate_noise, input_variance)
 
 __all__ = [
     "PlantModel",
@@ -158,16 +158,25 @@ class EnsembleResult:
         return np.mean([r.final_weights for r in self.runs], axis=0)
 
 
+def _input_seed(config: ExperimentConfig, run_index: int) -> int:
+    return (config.base_seed ^ run_index) & _SEED_MASK
+
+
 def _member_signals(config: ExperimentConfig, run_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Input x and desired response d of one run; a pure function of its index."""
-    input_seed = (config.base_seed ^ run_index) & _SEED_MASK
+    input_seed = _input_seed(config, run_index)
     x = generate_noise(replace(config.noise, seed=input_seed), config.iterations)
+    return x, _desired(config, x, input_seed)
+
+
+def _desired(config: ExperimentConfig, x: np.ndarray, input_seed: int) -> np.ndarray:
+    """Desired response d of one run to its input x: the plant's output plus measurement noise."""
     d = np.convolve(x, config.plant.h)[: x.shape[0]]
     sigma_v = config.plant.measurement_noise_sigma
     if sigma_v > 0:
         spec = NoiseSpec(NoiseKind.WHITE, sigma_v, seed=input_seed ^ MEASUREMENT_STREAM_SALT)
         d = d + generate_noise(spec, x.shape[0])
-    return x, d
+    return d
 
 
 @contextmanager
@@ -212,8 +221,16 @@ def _signals(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, 
         # allocated first, so an ensemble too large to hold fails before any run
         shape = (len(run_indices), config.iterations)
         x, d = np.empty(shape), np.empty(shape)
-        for row, r in enumerate(run_indices):
-            x[row], d[row] = _member_signals(config, r)
+        seeds = [_input_seed(config, r) for r in run_indices]
+        # an AR(1) input of many runs is drawn white per run, then colored for all at once
+        ar1 = config.noise.kind is NoiseKind.AR1_COLORED and len(seeds) >= AR1_COLUMN_ROWS
+        source = replace(config.noise, kind=NoiseKind.WHITE) if ar1 else config.noise
+        for row, seed in zip(x, seeds):
+            row[:] = generate_noise(replace(source, seed=seed), config.iterations)
+        if ar1:
+            _ar1_rows(x, config.noise.ar_coefficient)
+        for row, seed in enumerate(seeds):
+            d[row] = _desired(config, x[row], seed)
     if memo is not None:
         # an in-place edit by one variant would otherwise reach the next
         x.flags.writeable = d.flags.writeable = False
@@ -288,15 +305,18 @@ def _lms_loop(mu, regressors: np.ndarray, d: np.ndarray, w: np.ndarray,
               errors: np.ndarray) -> np.ndarray:
     """All T iterations of LMS for a batch; returns the final weights.
 
-    One in-place kernel serves one member and a batch: mu*e goes into
-    ``scale`` (0-d for one member, (*B, 1) for a batch), as a scalar operand
-    would be converted to an array on every step. ``mu`` is a float or, for
-    a batch (V, *B), a column (V, 1, …). The operations are
-    lms_update's, so the results are bit-identical to it. The desired
-    samples are read from the array, not from a list of it: a list costs
-    about 32 bytes per sample, which raises the peak memory of a long run.
-    While run_single is replaced (a tracer), each run adapts alone and steps
-    through lms_step at this module's attribute, with the same operations.
+    The weights are updated in place through ``step``, and mu*e goes into
+    ``scale``, as a scalar operand would be converted to an array on every
+    step. One member (B = ()) steps on numpy scalars with a 0-d ``scale``;
+    as a one-member batch it would take 1.6–1.8× as long. A batch writes each
+    step's errors into that step's row of ``errors`` and its outputs and
+    scale into buffers, so a step allocates nothing. ``mu`` is a float or,
+    for a batch (V, *B), a column (V, 1, …). The operations are lms_update's,
+    so the results are bit-identical to it. The desired samples are read
+    from the array, not from a list of it: a list costs about 32 bytes per
+    sample, which raises the peak memory of a long run. While run_single is
+    replaced (a tracer), each run adapts alone and steps through lms_step at
+    this module's attribute, with the same operations.
     """
     if run_single is not _library_run_single:
         for n, (x, d_n) in enumerate(zip(regressors, d)):
@@ -304,12 +324,19 @@ def _lms_loop(mu, regressors: np.ndarray, d: np.ndarray, w: np.ndarray,
             errors[n] = out.error_e
         return w
     step = np.empty_like(w)
-    scale = np.empty(()) if w.ndim == 1 else np.empty(w.shape[:-1] + (1,))
-    col = scale if w.ndim == 1 else scale[..., 0]
-    vecdot, multiply, add = np.vecdot, np.multiply, np.add
-    for n, (x, d_n) in enumerate(zip(regressors, np.moveaxis(d, -1, 0))):
-        errors[n] = e = d_n - vecdot(x, w)
-        col[()] = mu * e
+    vecdot, subtract, multiply, add = np.vecdot, np.subtract, np.multiply, np.add
+    if w.ndim == 1:
+        scale = np.empty(())
+        for n, (x, d_n) in enumerate(zip(regressors, d)):
+            errors[n] = e = d_n - vecdot(x, w)
+            scale[()] = mu * e
+            add(w, multiply(x, scale, out=step), out=w)
+        return w
+    scale = np.empty(w.shape[:-1] + (1,))
+    col, y = scale[..., 0], np.empty(w.shape[:-1])
+    for x, d_n, e in zip(regressors, np.moveaxis(d, -1, 0), errors):
+        subtract(d_n, vecdot(x, w, out=y), out=e)
+        multiply(mu, e, out=col)
         add(w, multiply(x, scale, out=step), out=w)
     return w
 

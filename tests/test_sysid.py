@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from apbench import linalg, sysid
-from apbench.algorithms import AlgorithmConfig, AlgorithmKind, MuMode, step_multiplies
+from apbench.algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, lms_update,
+                                step_multiplies)
 from apbench.metrics import misalignment_db
-from apbench.signals import (NoiseKind, NoiseSpec, design_highpass_fir, generate_noise,
-                             input_variance)
+from apbench.signals import (AR1_COLUMN_ROWS, NoiseKind, NoiseSpec, design_highpass_fir,
+                             generate_noise, input_variance)
 from apbench.sysid import (
     MEASUREMENT_STREAM_SALT,
     AdaptationError,
@@ -465,6 +466,66 @@ def test_a_mu_column_adapts_each_member_as_alone_bit_for_bit(L, noise, runs):
         alone_errors, alone_w, *_ = sysid._adapt(replace(algo, mu=mu_v), 0.0, x, d)
         assert errors[:, v].tobytes() == alone_errors.tobytes()
         assert w[v].tobytes() == alone_w.tobytes()
+
+
+def _lms_update_loop(x, d, mu, L):
+    """A plain loop of the public step: the a-priori errors (T, *B) and final weights (*B, L)."""
+    xp = np.concatenate([np.zeros(x.shape[:-1] + (L - 1,)), x], axis=-1)
+    w = np.zeros(d.shape[:-1] + (L,))
+    errors = np.empty(d.shape[-1:] + d.shape[:-1])
+    for n in range(d.shape[-1]):
+        # the tap-delay line at time n, newest sample first
+        w, _, errors[n] = lms_update(w, xp[..., n:n + L][..., ::-1], d[..., n], mu)
+    return errors, w
+
+
+def _first_non_finite(errors):
+    """The first iteration with a non-finite error of each member, T if none."""
+    finite = np.isfinite(errors)
+    return np.where(finite.all(axis=0), errors.shape[0], np.argmin(finite, axis=0))
+
+
+@pytest.mark.parametrize("batch", ["one", "R", "V", "V_R"])
+def test_the_lms_kernel_equals_a_loop_of_the_public_update_bit_for_bit(batch):
+    # B = () and (R,) adapt each step size alone, B = (V,) and (V, R) as one µ column;
+    # the larger step size diverges
+    L, T = 8, 400
+    config = _config(AlgorithmConfig(AlgorithmKind.LMS, filter_length=L, mu=0.01),
+                     design_highpass_fir(7, 0.4), iterations=T, runs=3, meas_sigma=0.01)
+    x, d = sysid._signals(config, range(3 if batch.endswith("R") else 1))
+    mus = [scale / (L * input_variance(WHITE)) for scale in (0.1, 1000.0)]
+    if batch.startswith("V"):
+        column = np.array(mus).reshape((2,) + (1,) * (x.ndim - 1))
+        cases = [(column, np.broadcast_to(d, (2,) + d.shape))]
+    else:
+        cases = [(mu, d) for mu in mus]
+    algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=L, mu=mus[0])
+    firsts = []
+    for mu, d_batch in cases:
+        errors, w, *_ = sysid._adapt(algo, 0.0, x, d_batch, mu=mu)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected_errors, expected_w = _lms_update_loop(x, d_batch, mu, L)
+        assert errors.tobytes() == expected_errors.tobytes()
+        assert w.tobytes() == expected_w.tobytes()
+        firsts.append(_first_non_finite(errors))
+        assert np.array_equal(firsts[-1], _first_non_finite(expected_errors))
+    # one row per step size: the small one never diverges, the large one does
+    first = np.array(firsts).reshape(2, -1)
+    assert (first[0] == T).all() and (first[1] < T).all()
+
+
+@pytest.mark.parametrize("runs", [2, AR1_COLUMN_ROWS])
+@pytest.mark.parametrize("a", [-0.9, 0.0, 0.9])
+def test_each_member_of_an_ar1_ensemble_equals_generate_noise_bit_for_bit(a, runs):
+    # from AR1_COLUMN_ROWS runs on, the ensemble colors all runs at once; generate_noise
+    # colors one run in Python floats
+    noise = NoiseSpec(NoiseKind.AR1_COLORED, sigma=1.0, ar_coefficient=a)
+    config = _signal_config(noise=noise, iterations=301, runs=runs)
+    x, d = sysid._signals(config, range(runs))
+    for r in range(runs):
+        alone = generate_noise(replace(noise, seed=config.base_seed ^ r), config.iterations)
+        assert x[r].tobytes() == alone.tobytes()
+        assert d[r].tobytes() == sysid._member_signals(config, r)[1].tobytes()
 
 
 class TestExperimentConfig:
