@@ -70,7 +70,9 @@ class AlgorithmConfig:
 
     ``normalization_order`` is the divisor order in the auto step size
     1/(order * ||x||^2): BNDR-LMS defaults to 1 and R_AP to its projection
-    order, and either may be set, as the literature states both.
+    order, and either may be set, as the literature states both. A step-size
+    field that the mode ignores is refused, not dropped: ``mu`` in auto mode,
+    and ``normalization_order`` in fixed mode, where it stays None.
     """
 
     kind: AlgorithmKind
@@ -107,7 +109,13 @@ class AlgorithmConfig:
             raise ValueError(f"mu_mode must be a MuMode, got {self.mu_mode!r}")
         if lms and self.mu_mode is not MuMode.FIXED:
             raise ValueError(f"{name} uses a fixed step size; auto normalization is not valid")
-        if not lms:
+        # a field the mode ignores would otherwise be dropped without a word
+        auto = self.mu_mode is MuMode.AUTO_NORMALIZED
+        ignored = "mu" if auto else "normalization_order"
+        if getattr(self, ignored) is not None:
+            raise ValueError(f"{ignored} must be unset in {self.mu_mode.value} mode, "
+                             f"got {getattr(self, ignored)}")
+        if auto:
             _default("normalization_order", self.projection_order if r_ap else 1)
 
         if not r_ap:

@@ -180,8 +180,8 @@ def _ar1_rows(w: np.ndarray, a: float) -> None:
 
 
 def input_variance(spec: NoiseSpec) -> float:
-    """Stationary variance of the excitation process."""
-    s2 = spec.sigma**2
+    """Stationary variance of the excitation process; inf where it overflows."""
+    s2 = np.float64(spec.sigma) ** 2
     if spec.kind is NoiseKind.WHITE:
         return s2
     if spec.kind is NoiseKind.AR1_COLORED:

@@ -112,16 +112,15 @@ class ExperimentConfig:
         if self.noise.sigma <= 0:
             raise ValueError(f"noise.sigma must be > 0, got {self.noise.sigma}")
         # a silent input excites nothing: every error, and so every curve, would be 0; an
-        # infinite one (finite but huge sigma or taps) would diverge at the first step
+        # infinite variance (finite but huge sigma or taps) would diverge at the first step
         with np.errstate(over="ignore"):
-            try:
-                variance = input_variance(self.noise)
-            except OverflowError:  # sigma**2 of a Python float
-                variance = float("inf")
-        if not variance > 0:
-            raise ValueError("noise.sigma and noise.fir_coefficients must give the input a "
-                             f"variance > 0, got {variance}")
-        _check_real("input variance", variance)
+            variance = input_variance(self.noise)
+            if not variance > 0:
+                raise ValueError("noise.sigma and noise.fir_coefficients must give the input a "
+                                 f"variance > 0, got {variance}")
+            _check_real("input variance", variance)
+            _check_real("measurement noise variance",
+                        np.float64(self.plant.measurement_noise_sigma) ** 2)
         if self.algorithm.filter_length < self.plant.length:
             warnings.warn(
                 f"filter_length {self.algorithm.filter_length} is shorter than the "
@@ -158,27 +157,6 @@ class EnsembleResult:
         return np.mean([r.final_weights for r in self.runs], axis=0)
 
 
-def _input_seed(config: ExperimentConfig, run_index: int) -> int:
-    return (config.base_seed ^ run_index) & _SEED_MASK
-
-
-def _member_signals(config: ExperimentConfig, run_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Input x and desired response d of one run; a pure function of its index."""
-    input_seed = _input_seed(config, run_index)
-    x = generate_noise(replace(config.noise, seed=input_seed), config.iterations)
-    return x, _desired(config, x, input_seed)
-
-
-def _desired(config: ExperimentConfig, x: np.ndarray, input_seed: int) -> np.ndarray:
-    """Desired response d of one run to its input x: the plant's output plus measurement noise."""
-    d = np.convolve(x, config.plant.h)[: x.shape[0]]
-    sigma_v = config.plant.measurement_noise_sigma
-    if sigma_v > 0:
-        spec = NoiseSpec(NoiseKind.WHITE, sigma_v, seed=input_seed ^ MEASUREMENT_STREAM_SALT)
-        d = d + generate_noise(spec, x.shape[0])
-    return d
-
-
 @contextmanager
 def _shared_signals(algorithms=()):
     """A scope in which every ensemble's signals are built once and shared.
@@ -209,28 +187,34 @@ def _signals_key(config: ExperimentConfig, run_indices: range) -> tuple:
 
 
 def _signals(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, np.ndarray]:
-    """Inputs x and desired responses d of the runs, (*B, T) each, B = () for one run."""
+    """Inputs x and desired responses d of the runs, (*B, T) each.
+
+    Run r fills row r of (R, T) arrays; one run returns its row 0 views, B = ().
+    """
     _, memo = _SCOPE.get() or ({}, None)
     if memo is not None:
         key = _signals_key(config, run_indices)
         if key in memo:
             return memo[key]
-    if len(run_indices) == 1:
-        x, d = _member_signals(config, run_indices[0])
-    else:
-        # allocated first, so an ensemble too large to hold fails before any run
-        shape = (len(run_indices), config.iterations)
-        x, d = np.empty(shape), np.empty(shape)
-        seeds = [_input_seed(config, r) for r in run_indices]
-        # an AR(1) input of many runs is drawn white per run, then colored for all at once
-        ar1 = config.noise.kind is NoiseKind.AR1_COLORED and len(seeds) >= AR1_COLUMN_ROWS
-        source = replace(config.noise, kind=NoiseKind.WHITE) if ar1 else config.noise
-        for row, seed in zip(x, seeds):
-            row[:] = generate_noise(replace(source, seed=seed), config.iterations)
-        if ar1:
-            _ar1_rows(x, config.noise.ar_coefficient)
-        for row, seed in enumerate(seeds):
-            d[row] = _desired(config, x[row], seed)
+    # allocated first, so an ensemble too large to hold fails before any run
+    T = config.iterations
+    x, d = np.empty((len(run_indices), T)), np.empty((len(run_indices), T))
+    seeds = [(config.base_seed ^ r) & _SEED_MASK for r in run_indices]
+    # an AR(1) input of many runs is drawn white per run, then colored for all at once
+    ar1 = config.noise.kind is NoiseKind.AR1_COLORED and len(seeds) >= AR1_COLUMN_ROWS
+    source = replace(config.noise, kind=NoiseKind.WHITE) if ar1 else config.noise
+    for row, seed in zip(x, seeds):
+        row[:] = generate_noise(replace(source, seed=seed), T)
+    if ar1:
+        _ar1_rows(x, config.noise.ar_coefficient)
+    sigma_v = config.plant.measurement_noise_sigma
+    for x_row, d_row, seed in zip(x, d, seeds):
+        d_row[:] = np.convolve(x_row, config.plant.h)[:T]
+        if sigma_v > 0:
+            spec = NoiseSpec(NoiseKind.WHITE, sigma_v, seed=seed ^ MEASUREMENT_STREAM_SALT)
+            d_row += generate_noise(spec, T)
+    if len(seeds) == 1:
+        x, d = x[0], d[0]
     if memo is not None:
         # an in-place edit by one variant would otherwise reach the next
         x.flags.writeable = d.flags.writeable = False

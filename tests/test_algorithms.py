@@ -1,5 +1,7 @@
 """Tests for the adaptive update rules and complexity accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -332,6 +334,9 @@ class TestAlgorithmConfig:
         fixed = AlgorithmConfig(AlgorithmKind.R_AP, filter_length=13,
                                 projection_order=4, delta=1e-4, mu_mode=MuMode.FIXED, mu=1.0)
         assert fixed.resolved_delta(123.0) == 1e-4
+        # fixed mode leaves the order unset, so a copy passes the rule that refuses it
+        assert fixed.normalization_order is None
+        assert dataclasses.replace(fixed, filter_length=8).normalization_order is None
 
     def test_invariant_violations(self):
         with pytest.raises(ValueError):
@@ -367,8 +372,17 @@ class TestAlgorithmConfig:
      "mu_mode must be a MuMode, got 'auto'"),
     (lambda: AlgorithmConfig(AlgorithmKind.LMS, 4, mu=0.1, mu_mode="fixed"),
      "mu_mode must be a MuMode, got 'fixed'"),
+    # unchecked, each ran and dropped the value that its mode ignores
+    (lambda: AlgorithmConfig(AlgorithmKind.R_AP, 4, mu=0.5),
+     "^mu must be unset in auto mode, got 0.5$"),
+    (lambda: AlgorithmConfig(AlgorithmKind.LMS, 4, mu=0.1, normalization_order=2),
+     "^normalization_order must be unset in fixed mode, got 2$"),
+    (lambda: AlgorithmConfig(AlgorithmKind.BNDR_LMS, 4, mu_mode=MuMode.FIXED, mu=1.0,
+                             normalization_order=1),
+     "^normalization_order must be unset in fixed mode, got 1$"),
 ], ids=["kind", "lms_step_mu", "lms_order", "bndr_lms_order", "ap_step_1d_data",
-        "r_ap_mu_mode_string", "lms_mu_mode_string"])
+        "r_ap_mu_mode_string", "lms_mu_mode_string", "mu_in_auto_mode",
+        "lms_normalization_order", "fixed_normalization_order"])
 def test_invalid_arguments_are_rejected_with_their_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()

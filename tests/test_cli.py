@@ -425,6 +425,9 @@ class TestRunCommand:
                      "input variance must be finite, got inf", id="sigma"),
         pytest.param({"plant": {"coefficients": [1.0, 1e308]}},
                      "plant norm must be finite, got inf", id="plant_coefficients"),
+        pytest.param({"plant": {"coefficients": [1.0, 0.5], "measurement_noise_sigma": 1e300}},
+                     "measurement noise variance must be finite, got inf",
+                     id="measurement_noise_sigma"),
     ])
     def test_finite_values_that_overflow_the_variance_or_plant_norm_fail_validation(
             self, tmp_path, capsys, patch, message):

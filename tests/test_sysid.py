@@ -514,18 +514,23 @@ def test_the_lms_kernel_equals_a_loop_of_the_public_update_bit_for_bit(batch):
     assert (first[0] == T).all() and (first[1] < T).all()
 
 
-@pytest.mark.parametrize("runs", [2, AR1_COLUMN_ROWS])
+@pytest.mark.parametrize("runs", [1, 2, AR1_COLUMN_ROWS])
 @pytest.mark.parametrize("a", [-0.9, 0.0, 0.9])
 def test_each_member_of_an_ar1_ensemble_equals_generate_noise_bit_for_bit(a, runs):
     # from AR1_COLUMN_ROWS runs on, the ensemble colors all runs at once; generate_noise
-    # colors one run in Python floats
+    # colors one run in Python floats. A lone run takes the same route, as (T,) arrays
     noise = NoiseSpec(NoiseKind.AR1_COLORED, sigma=1.0, ar_coefficient=a)
     config = _signal_config(noise=noise, iterations=301, runs=runs)
+    T, h, sigma_v = config.iterations, config.plant.h, config.plant.measurement_noise_sigma
     x, d = sysid._signals(config, range(runs))
-    for r in range(runs):
-        alone = generate_noise(replace(noise, seed=config.base_seed ^ r), config.iterations)
-        assert x[r].tobytes() == alone.tobytes()
-        assert d[r].tobytes() == sysid._member_signals(config, r)[1].tobytes()
+    assert x.shape == d.shape == ((runs, T) if runs > 1 else (T,))
+    for r, (x_r, d_r) in enumerate(zip(x.reshape(runs, T), d.reshape(runs, T))):
+        seed = config.base_seed ^ r
+        alone = generate_noise(replace(noise, seed=seed), T)
+        measured = generate_noise(
+            NoiseSpec(NoiseKind.WHITE, sigma_v, seed=seed ^ sysid.MEASUREMENT_STREAM_SALT), T)
+        assert x_r.tobytes() == alone.tobytes()
+        assert d_r.tobytes() == (np.convolve(alone, h)[:T] + measured).tobytes()
 
 
 class TestExperimentConfig:
@@ -602,7 +607,7 @@ def test_a_non_finite_parameter_fails_at_construction_naming_its_field(build, fi
 
 
 def test_counts_and_seeds_are_stored_as_the_python_ints_they_were_checked_as():
-    algo = AlgorithmConfig(AlgorithmKind.R_AP, filter_length=np.int32(4), mu=0.5,
+    algo = AlgorithmConfig(AlgorithmKind.R_AP, filter_length=np.int32(4),
                            projection_order=np.int64(2), normalization_order=np.uint8(3))
     config = _config(algo, [1.0], iterations=np.int64(20), runs=np.int16(3), seed=np.uint64(5),
                      noise=NoiseSpec(NoiseKind.WHITE, 1.0, seed=np.uint64(2**63)))
@@ -685,8 +690,7 @@ def _block_digest(config):
     if isinstance(ensemble, AdaptationError):
         add(ensemble)
         # the members that did not fail, as adapted beside the frozen ones
-        signals = [sysid._member_signals(config, r) for r in range(config.ensemble_runs)]
-        x, d = (np.stack(s) for s in zip(*signals))
+        x, d = sysid._signals(config, range(config.ensemble_runs))
         algo = config.algorithm
         delta = algo.resolved_delta(input_variance(config.noise))
         for array in sysid._adapt(algo, delta, x, d):
