@@ -192,6 +192,8 @@ def _text(value, context: str) -> str:
 
 
 def _floats(values, context: str) -> list[float]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{context} must be a JSON array, got {values!r}")
     return [_float(v, f"{context}[{i}]") for i, v in enumerate(values)]
 
 

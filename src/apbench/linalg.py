@@ -9,15 +9,16 @@ depend on what else is in the stack, and the pivot tolerance is under exact
 control. Only the lower triangle of the input matrix is read by the
 factorization.
 
-Factoring (_factor) and solving with a factor (_solve_factored) are
+Factoring (_factor) and substituting with a factor (_substitute) are
 separate steps. solve_stacked runs one after the other; the adaptation loop
 in sysid factors a block of time steps' Grams at once, their entries being
 arrays over (step, stack), and substitutes each step with its slice of the
 factor, so both take the same path through the same operations. The
-residual bound has one home, _residual_norm: _solve_factored calls it on
-each substitution, and the adaptation loop calls it once on a whole block's
-substitutions, running the block again step by step through solve_stacked
-(algorithms.ap_update) if a member missed the bound.
+residual bound has one home, _residual_norm: solve_stacked calls it on
+each substitution and refinement pass, and the adaptation loop calls it
+once on a whole block's substitutions, running the block again step by
+step through solve_stacked (algorithms.ap_update) if a member missed the
+bound.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def _factor(a: list, n: int, delta: float) -> tuple[list, object]:
 
     ``a`` is the Gram matrix as n rows of n entries, arrays or scalars over
     the stack; its diagonal receives delta in place, so that ``a`` is
-    the regularized matrix that _solve_factored measures residuals against.
+    the regularized matrix that _residual_norm measures residuals against.
     The factor depends on the matrix alone, so one factorization serves
     every right-hand side solved against it. It is built column by column
     with a relative pivot check: a member whose pivot falls to PIVOT_RTOL
@@ -123,24 +124,6 @@ def _factor(a: list, n: int, delta: float) -> tuple[list, object]:
                 s = s - row_i[k] * row_j[k]
             row_i[j] = s / dj
     return chol, singular
-
-
-def _solve_factored(a: list, chol: list, b: list, n: int, held) -> tuple[list, object]:
-    """Solve ``a`` x = b with its factor ``chol``, refining toward the residual bound.
-
-    ``b`` holds the right-hand side as n entries. Returns the solution
-    entries and the flags of the members in ``held`` still short of the
-    residual bound after the refinement passes; members not held (singular
-    or skipped) are neither refined nor flagged.
-    """
-    x = _substitute(chol, b, n)
-    r, short = _residual_norm(a, x, b, n, held)
-    for _ in range(REFINEMENT_PASSES):
-        if not short.any():
-            break
-        x = [np.where(short, xi + ci, xi) for xi, ci in zip(x, _substitute(chol, r, n))]
-        r, short = _residual_norm(a, x, b, n, held)
-    return x, short
 
 
 def solve_stacked(gram, delta: float, rhs, skip=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,7 +156,14 @@ def solve_stacked(gram, delta: float, rhs, skip=None) -> tuple[np.ndarray, np.nd
     a = [[g[..., i, j] for j in range(n)] for i in range(n)]
     chol, singular = _factor(a, n, delta)
     held = np.logical_not(singular if skip is None else singular | skip)
-    x, inexact = _solve_factored(a, chol, [b[..., i] for i in range(n)], n, held)
+    b = [b[..., i] for i in range(n)]
+    x = _substitute(chol, b, n)
+    r, inexact = _residual_norm(a, x, b, n, held)
+    for _ in range(REFINEMENT_PASSES):
+        if not inexact.any():
+            break
+        x = [np.where(inexact, xi + ci, xi) for xi, ci in zip(x, _substitute(chol, r, n))]
+        r, inexact = _residual_norm(a, x, b, n, held)
     x = np.stack(x, axis=-1)
     x[singular | inexact] = np.nan
     return x, singular, inexact

@@ -247,6 +247,9 @@ def frequency_response(w, k_points: int) -> FrequencyResponse:
     Blocks of at most FREQ_BLOCK_ENTRIES phases bound the phase matrix
     without changing a bit of the result. A perfect null reads -300 dB.
     """
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1 or not w.size:
+        raise ValueError(f"w must be a non-empty 1-D array, got shape {w.shape}")
     omegas, (magnitude_db,) = _responses_db([w], k_points)
     return FrequencyResponse(omegas=omegas, magnitude_db=magnitude_db)
 

@@ -342,14 +342,14 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
     first N-1, then up to PROJECTION_BLOCK. The Grams X X^T + delta*I, their
     Cholesky factors and singular flags, and ||x||^2 with the auto step
     sizes are computed once per block (the fixed step sizes once per loop).
-    If no Gram is singular and no member has failed, each step writes its
-    errors into the (k, steps, *B) right-hand sides, substitutes its solution
-    into a like buffer and corrects the weights. The block's errors are the
-    right-hand sides' first rows; one residual check covers them all. Without
-    a member short of the bound, that is ap_update's work step by step. Any
-    other block, and a block found short, runs from its start weights with
-    ap_update per step, which refines toward the bound and flags singular
-    and short members; singular members shed warm-up rows (_shed_rows).
+    Unless a live member (with a regressor and no failure before the block)
+    has a singular Gram, each step writes its errors into the (k, steps, *B)
+    right-hand sides, substitutes its solution into a like buffer and
+    corrects the live weights. The block's errors are the right-hand sides'
+    first rows; one residual check covers the live members: without one short
+    of the bound, that is ap_update's work step by step. Any other block, and
+    a block found short, reruns from its start weights through ap_update,
+    which refines and flags members; singular ones shed rows (_shed_rows).
     """
     N, L = algo.projection_order, algo.filter_length
     batch, T = d.shape[:-1], d.shape[-1]
@@ -372,11 +372,11 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
         norm2 = np.vecdot(X[..., 0, :], X[..., 0, :])
         mus = list(np.minimum(1.0 / (algo.normalization_order * norm2), AUTO_MU_CAP)) if auto \
             else fixed_mus
-        empty = norm2 == 0.0
+        idle = (norm2 == 0.0) | (failed_at >= 0)
         w_start = w
-        if not (singular.any() or (failed_at >= 0).any()):
+        if not (singular & ~idle).any():
             chol_steps = [[[c[i] for c in row] for row in chol] for i in range(steps)]
-            any_empty = empty.reshape(steps, -1).any(axis=1).tolist()
+            any_idle = idle.reshape(steps, -1).any(axis=1).tolist()
             # entries over (step, *B), as the block check takes them
             rhs = np.empty((k, steps) + batch)
             sol = np.empty_like(rhs)
@@ -385,24 +385,24 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
                 sol[:, i] = linalg._substitute(chol_steps[i], rhs[:, i], k)
                 # sol[:, i] is (k, *B); its transpose is the (*B, k) view _ap_correct takes
                 w_new = _ap_correct(w, X[i], sol[:, i].T, mus[i])
-                w = np.where(empty[i][..., None], w, w_new) if any_empty[i] else w_new
+                w = np.where(idle[i][..., None], w, w_new) if any_idle[i] else w_new
             errors[start:stop] = rhs[0]
-            if not linalg._residual_norm(a, list(sol), list(rhs), k, ~empty)[1].any():
+            if not linalg._residual_norm(a, list(sol), list(rhs), k, ~idle)[1].any():
                 continue
         w = w_start
         for i, n in enumerate(range(start, stop)):
             w_new, _, e, stuck, short = ap_update(w, X[i], d_block[i], mus[i], delta)
             errors[n] = e[..., 0]
-            # the members keeping their weights: no regressor, or failed before
-            idle = empty[i] | (failed_at >= 0)
-            stuck &= ~idle
-            short = np.asarray(short & ~idle)  # _shed_rows updates it in place
+            # the idle members and those failed earlier in this block
+            keep = idle[i] | (failed_at >= 0)
+            stuck &= ~keep
+            short = np.asarray(short & ~keep)  # _shed_rows updates it in place
             if n < warmup and stuck.any():
                 stuck = _shed_rows(w, X[i], d_block[i], mus[i], delta, stuck, short, w_new)
             failed = stuck | short
             failed_at[failed] = n
             inexact[short] = True
-            w = np.where((idle | failed)[..., None], w, w_new)
+            w = np.where((keep | failed)[..., None], w, w_new)
     return w
 
 

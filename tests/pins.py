@@ -82,6 +82,8 @@ PROJECTION_BLOCK_SHA256 = {
         "9594a6b90c78cbacd288cb0fd2cd380d76c11ba95fd2d258f5019f8ebc6f9418",
     "r_ap2_fails_mid_block":
         "0cb60a652bcf01327714163174c4e40d04c635868565027d23889f4cce48179c",
+    "r_ap2_freezes_early":
+        "75c5d23ef58dcb4c1e15a5148e2daa24c7fac5fe432a54d271d6cb19c3c51362",
     "r_ap2_recovers_mid_block":
         "8e3ce4f711a23b7ea011f5b10af34cc6114a098775d6d2d9f8c0820a33d8cb58",
     "r_ap6_delta0_l64_fir_leading_zero":

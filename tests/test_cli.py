@@ -248,8 +248,16 @@ class TestRunCommand:
          "algorithms[0].name must be non-empty and filesystem-safe, got 'a/b'"),
         ({"algorithms": []}, [], "algorithms must be a non-empty list"),
         ({}, ["--threads", "0"], "--threads must be >= 1, got 0"),
+        # unchecked, a number was not iterable and a string was read character by character
+        ({"plant": {"coefficients": 5}}, [],
+         "invalid plant: plant.coefficients must be a JSON array, got 5"),
+        ({"plant": {"coefficients": "12"}}, [],
+         "invalid plant: plant.coefficients must be a JSON array, got '12'"),
+        ({"noise": {"kind": "fir", "sigma": 1.0, "fir_coefficients": "12"}}, [],
+         "invalid noise: noise.fir_coefficients must be a JSON array, got '12'"),
     ], ids=["not_an_object", "unknown_enum_value", "plant_both", "plant_neither",
-            "unsafe_variant_name", "no_algorithms", "zero_threads"])
+            "unsafe_variant_name", "no_algorithms", "zero_threads", "plant_taps_a_number",
+            "plant_taps_a_string", "fir_taps_a_string"])
     def test_an_invalid_file_or_option_fails_with_one_error_line(self, tmp_path, capsys, patch,
                                                                  args, message):
         out = tmp_path / "out"

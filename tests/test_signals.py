@@ -271,14 +271,19 @@ class TestFrequencyResponse:
         assert peak < 4e6
 
 
-@pytest.mark.parametrize("omegas, magnitude_db, message", [
-    ([0.0, 1.0], [0.0], "omegas and magnitude_db must have matching shapes"),
-    ([0.0, 1.0, 1.0], [0.0, 0.0, 0.0], "omegas must be strictly increasing"),
-], ids=["shapes", "not_increasing"])
-def test_an_invalid_frequency_response_is_rejected_with_its_message(omegas, magnitude_db,
-                                                                    message):
+@pytest.mark.parametrize("build, message", [
+    (lambda: FrequencyResponse([0.0, 1.0], [0.0]),
+     "omegas and magnitude_db must have matching shapes"),
+    (lambda: FrequencyResponse([0.0, 1.0, 1.0], [0.0, 0.0, 0.0]),
+     "omegas must be strictly increasing"),
+    # unchecked, an empty vector divided by zero and a 2-D one failed to broadcast
+    (lambda: frequency_response([], 4), r"w must be a non-empty 1-D array, got shape \(0,\)"),
+    (lambda: frequency_response([[1.0, 2.0]], 4),
+     r"w must be a non-empty 1-D array, got shape \(1, 2\)"),
+], ids=["shapes", "not_increasing", "empty_vector", "2d_vector"])
+def test_an_invalid_frequency_response_is_rejected_with_its_message(build, message):
     with pytest.raises(ValueError, match=message):
-        FrequencyResponse(omegas, magnitude_db)
+        build()
 
 
 @pytest.mark.parametrize("kind, extra", [

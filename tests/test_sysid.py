@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from apbench import linalg, sysid
+from apbench import algorithms, linalg, sysid
 from apbench.algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, lms_update,
                                 step_multiplies)
 from apbench.metrics import misalignment_db
@@ -649,6 +649,11 @@ _BLOCK_CASES = {
     "r_ap2_recovers_mid_block": (AlgorithmConfig(AlgorithmKind.R_AP, filter_length=1,
                                                  projection_order=2, mu_mode=MuMode.FIXED,
                                                  mu=0.5, delta=1e-7), WHITE, 0.01, 4, 1),
+    # N > L: every run misses the residual bound in the first two full blocks (run 2
+    # at iteration 1, run 1 at 12, runs 0 and 3 at 17) and keeps its weights to the end
+    "r_ap2_freezes_early": (AlgorithmConfig(AlgorithmKind.R_AP, filter_length=1,
+                                            projection_order=2, mu_mode=MuMode.FIXED, mu=1.0,
+                                            delta=1e-8), WHITE, 0.01, 4, 4),
     # L = 64, where the Gram sums depend on the matmul's shape: the per-step Grams
     # (runs, k, L) of the refining solve must equal the block's (steps, runs, k, L)
     "r_ap6_delta0_l64_fir_leading_zero": (
@@ -720,9 +725,18 @@ def test_projection_blocks_keep_every_bit(name, monkeypatch):
         with pytest.raises(AdaptationError) as err:
             run_ensemble(config)
         assert (err.value.run_index, err.value.iteration) == (0, 3)
+    if name.endswith("freezes_early"):
+        steps, ap_update = [], sysid.ap_update
+        monkeypatch.setattr(sysid, "ap_update", lambda *args: steps.append(1) or ap_update(*args))
+        with pytest.raises(AdaptationError) as err:
+            run_ensemble(config)
+        assert (err.value.run_index, err.value.iteration) == (0, 17)
+        # the two full blocks up to the failures were found short and ran again step
+        # by step; the later ones hold the frozen runs idle and stay on the block route
+        assert len(steps) == 2 * sysid.PROJECTION_BLOCK
     if name.endswith("recovers_mid_block"):
         checks, solves = [], []
-        residual_norm, solve_factored = linalg._residual_norm, linalg._solve_factored
+        residual_norm, solve_stacked = linalg._residual_norm, algorithms.solve_stacked
 
         def counted_residual_norm(a, x, b, n, held):
             r, short = residual_norm(a, x, b, n, held)
@@ -730,12 +744,9 @@ def test_projection_blocks_keep_every_bit(name, monkeypatch):
                 checks.append((len(held), bool(short.any())))
             return r, short
 
-        def counted_solve_factored(*args):
-            solves.append(args)
-            return solve_factored(*args)
-
         monkeypatch.setattr(linalg, "_residual_norm", counted_residual_norm)
-        monkeypatch.setattr(linalg, "_solve_factored", counted_solve_factored)
+        monkeypatch.setattr(algorithms, "solve_stacked",
+                            lambda *args: solves.append(args) or solve_stacked(*args))
         run_ensemble(config)  # every member adapts to the end
         # every block was checked: one warm-up step, three of 16 steps, a last one of 2;
         # the two found short, and no other block, ran again through the refining solve
