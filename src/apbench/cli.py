@@ -363,8 +363,12 @@ def cmd_run(config: str, out: str | None, threads: int) -> int:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     path = resolve_config_path(config)
     spec = load_experiment_file(path)
+    out_dir = Path(out if out is not None else spec.output_dir)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():  # a file at or above it would fail the write after the run
+        raise ConfigError(f"cannot make output directory {out_dir}: {existing} is not a directory")
     results = run_experiment_file(spec, threads=threads)
-    write_artifacts(spec, results, Path(out) if out is not None else Path(spec.output_dir))
+    write_artifacts(spec, results, out_dir)
     for res in results:
         print(f"{res.name}: final smoothed MSE {res.final_smoothed_db:.1f} dB, "
               f"t_m {res.tm.t_m}, misalignment {res.misalignment_db:.1f} dB")

@@ -189,7 +189,8 @@ def _signals_key(config: ExperimentConfig, run_indices: range) -> tuple:
 def _signals(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, np.ndarray]:
     """Inputs x and desired responses d of the runs, (*B, T) each.
 
-    Run r fills row r of (R, T) arrays; one run returns its row 0 views, B = ().
+    Run r fills row r of (R, T) arrays; one run returns its row 0 views, B = (),
+    as the projection loop steps faster on their numpy-scalar entries.
     """
     _, memo = _SCOPE.get() or ({}, None)
     if memo is not None:
@@ -213,7 +214,7 @@ def _signals(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, 
         if sigma_v > 0:
             spec = NoiseSpec(NoiseKind.WHITE, sigma_v, seed=seed ^ MEASUREMENT_STREAM_SALT)
             d_row += generate_noise(spec, T)
-    if len(seeds) == 1:
+    if len(seeds) == 1:  # for the projection loop; the LMS loop batches them again
         x, d = x[0], d[0]
     if memo is not None:
         # an in-place edit by one variant would otherwise reach the next
@@ -291,31 +292,24 @@ def _lms_loop(mu, regressors: np.ndarray, d: np.ndarray, w: np.ndarray,
 
     The weights are updated in place through ``step``, and mu*e goes into
     ``scale``, as a scalar operand would be converted to an array on every
-    step. One member (B = ()) steps on numpy scalars with a 0-d ``scale``;
-    as a one-member batch it would take 1.6–1.8× as long. A batch writes each
-    step's errors into that step's row of ``errors`` and its outputs and
-    scale into buffers, so a step allocates nothing. ``mu`` is a float or,
+    step. Each step's errors go into that step's row of ``errors`` and its
+    outputs and scale into buffers, so a step allocates nothing. A lone run
+    adapts as a one-member batch of views of its own arrays, so its results
+    are written in place in their own shapes. ``mu`` is a float or,
     for a batch (V, *B), a column (V, 1, …). The operations are lms_update's,
-    so the results are bit-identical to it. The desired samples are read
-    from the array, not from a list of it: a list costs about 32 bytes per
-    sample, which raises the peak memory of a long run. While run_single is
-    replaced (a tracer), each run adapts alone and steps through lms_step at
-    this module's attribute, with the same operations.
+    so the results are bit-identical to it. While run_single is replaced (a
+    tracer), each run adapts alone and steps through lms_step at this
+    module's attribute, with the same operations.
     """
     if run_single is not _library_run_single:
         for n, (x, d_n) in enumerate(zip(regressors, d)):
             w, out = lms_step(w, x, d_n, mu)
             errors[n] = out.error_e
         return w
+    if w.ndim == 1:
+        return _lms_loop(mu, regressors, d[None], w[None], errors[:, None])[0]
     step = np.empty_like(w)
     vecdot, subtract, multiply, add = np.vecdot, np.subtract, np.multiply, np.add
-    if w.ndim == 1:
-        scale = np.empty(())
-        for n, (x, d_n) in enumerate(zip(regressors, d)):
-            errors[n] = e = d_n - vecdot(x, w)
-            scale[()] = mu * e
-            add(w, multiply(x, scale, out=step), out=w)
-        return w
     scale = np.empty(w.shape[:-1] + (1,))
     col, y = scale[..., 0], np.empty(w.shape[:-1])
     for x, d_n, e in zip(regressors, np.moveaxis(d, -1, 0), errors):
@@ -432,7 +426,7 @@ def _shed_rows(w, X, d_vec, mu, delta, stuck, short, w_new) -> np.ndarray:
 
 
 def _run(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, tuple[RunResult, ...]]:
-    """Adapt the given runs together; a single run is adapted unbatched.
+    """Adapt the given runs together, a single run at batch shape ().
 
     Returns the squared errors (R, T), whose rows are the runs' mse_trace,
     and the runs' results.
@@ -475,8 +469,8 @@ def _run(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, tupl
 def run_single(config: ExperimentConfig, run_index: int) -> RunResult:
     """One adaptation run; deterministic given (config, run_index).
 
-    This is the batched adaptation loop at batch shape (): its results are
-    bit-identical to member ``run_index`` of any ensemble that contains it.
+    The batched adaptation loop at batch shape (), or LMS's at (1,): its results
+    are bit-identical to member ``run_index`` of any ensemble that contains it.
     """
     return _run(config, range(run_index, run_index + 1))[1][0]
 

@@ -844,6 +844,24 @@ def _record_adapt(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("via_flag", [True, False], ids=["out_flag", "output_dir"])
+@pytest.mark.parametrize("under", [False, True], ids=["is_a_file", "under_a_file"])
+def test_an_output_path_at_or_under_a_file_fails_before_any_run(under, via_flag, tmp_path,
+                                                                monkeypatch, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept")
+    out = blocker / "sub" if under else blocker
+    path = _write_config(tmp_path, _tiny_config(tmp_path if via_flag else out))
+    calls = _record_adapt(monkeypatch)
+    assert main(["run", str(path)] + (["--out", str(out)] if via_flag else [])) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"{blocker} is not a directory" in err
+    assert calls == []
+    assert blocker.read_text() == "kept"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_a_mu_sweep_file_equals_unscoped_runs_bit_for_bit(tmp_path, monkeypatch):
     spec = load_experiment_file(_write_config(tmp_path, _lms_sweep(tmp_path, [0.05, 0.01, 0.1])))
     expected = _unscoped(spec)

@@ -514,6 +514,54 @@ def test_the_lms_kernel_equals_a_loop_of_the_public_update_bit_for_bit(batch):
     assert (first[0] == T).all() and (first[1] < T).all()
 
 
+def _left_to_right(a, b):
+    """sum_j a_j * b_j on Python floats, from 0.0, one product at a time."""
+    total = 0.0
+    for a_j, b_j in zip(a, b):
+        total += a_j * b_j
+    return total
+
+
+def _lms_on_floats(x, d, mu, L):
+    """LMS of one member on Python floats: its a-priori errors and final weights."""
+    mu, xp, w, errors = float(mu), [0.0] * (L - 1) + x.tolist(), [0.0] * L, []
+    for n, d_n in enumerate(d.tolist()):
+        taps = xp[n:n + L][::-1]  # the tap-delay line, newest sample first
+        errors.append(d_n - _left_to_right(taps, w))
+        scale = mu * errors[-1]
+        w = [w_j + x_j * scale for w_j, x_j in zip(w, taps)]
+    return errors, w
+
+
+@pytest.mark.parametrize("batch", ["one", "R", "V"])
+def test_the_lms_kernel_sums_each_product_left_to_right(batch):
+    # numpy sums vecdot on the reversed regressor views in its own loop (no BLAS for a
+    # negative stride), so each output is a left-to-right sum from 0.0; the larger
+    # step size diverges
+    L, T = 8, 300
+    config = _config(AlgorithmConfig(AlgorithmKind.LMS, filter_length=L, mu=0.01),
+                     design_highpass_fir(7, 0.4), iterations=T, runs=3, meas_sigma=0.01)
+    x, d = sysid._signals(config, range(3 if batch == "R" else 1))
+    mus = [scale / (L * input_variance(WHITE)) for scale in (0.1, 1000.0)]
+    algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=L, mu=mus[0])
+    if batch == "V":
+        cases = [(np.array(mus), np.broadcast_to(d, (2, T)), mus)]
+    else:
+        cases = [(mu, d, [mu] * (d.size // T)) for mu in mus]
+    diverged = []
+    for mu, d_batch, member_mus in cases:
+        errors, w, *_ = sysid._adapt(algo, 0.0, x, d_batch, mu=mu)
+        x_rows = np.broadcast_to(x, d_batch.shape).reshape(-1, T)
+        for m, (x_m, d_m, mu_m) in enumerate(zip(x_rows, d_batch.reshape(-1, T), member_mus)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy scalar would warn as it overflows
+                expected_errors, expected_w = _lms_on_floats(x_m, d_m, mu_m, L)
+            assert errors.reshape(T, -1)[:, m].tobytes() == np.array(expected_errors).tobytes()
+            assert w.reshape(-1, L)[m].tobytes() == np.array(expected_w).tobytes()
+            diverged.append(not np.isfinite(expected_w).all())
+    assert diverged == [False] * (len(diverged) // 2) + [True] * (len(diverged) // 2)
+
+
 @pytest.mark.parametrize("runs", [1, 2, AR1_COLUMN_ROWS])
 @pytest.mark.parametrize("a", [-0.9, 0.0, 0.9])
 def test_each_member_of_an_ar1_ensemble_equals_generate_noise_bit_for_bit(a, runs):
@@ -753,3 +801,48 @@ def test_projection_blocks_keep_every_bit(name, monkeypatch):
         assert len(checks) == 5
         assert [steps for steps, short in checks if short] == [sysid.PROJECTION_BLOCK, 2]
         assert len(solves) == sysid.PROJECTION_BLOCK + 2
+
+
+@pytest.mark.parametrize("name", ["bndr_auto_fir_leading_zero", "r_ap3_delta0"])
+def test_the_projection_products_sum_left_to_right(name, monkeypatch):
+    # on the loop's reversed row views matmul sums in numpy's own loop, not BLAS: each
+    # entry of X w and of eps^T X is a left-to-right sum from 0.0. The rows that
+    # _shed_rows selects are copies, which BLAS may sum in another order
+    checked = dict.fromkeys([(module, fn) for module in (sysid, algorithms)
+                             for fn in ("_ap_errors", "_ap_correct")], 0)
+
+    def check_errors(w, X, d_vec, out):
+        y = out[0].reshape(-1, X.shape[-2])
+        for y_m, X_m, w_m in zip(y, X.reshape((-1,) + X.shape[-2:]), w.reshape(len(y), -1)):
+            expected = [_left_to_right(row.tolist(), w_m.tolist()) for row in X_m]
+            assert y_m.tobytes() == np.array(expected).tobytes()
+
+    def check_correct(w, X, eps, mu, out):
+        product = np.array([[_left_to_right(eps_m.tolist(), column.tolist()) for column in X_m.T]
+                            for eps_m, X_m in zip(eps.reshape(-1, X.shape[-2]),
+                                                  X.reshape((-1,) + X.shape[-2:]))])
+        expected = w + np.asarray(mu)[..., None] * product.reshape(w.shape)
+        assert out.tobytes() == expected.tobytes()
+
+    def wrap(module, fn, check):
+        inner = getattr(module, fn)
+
+        def wrapped(w, X, *args):
+            out = inner(w, X, *args)
+            if X.strides[-1] < 0:
+                check(w, X, *args, out)
+                checked[module, fn] += 1
+            return out
+
+        monkeypatch.setattr(module, fn, wrapped)
+
+    for module in (sysid, algorithms):
+        wrap(module, "_ap_errors", check_errors)
+        wrap(module, "_ap_correct", check_correct)
+    config = _block_case(name)
+    algo = config.algorithm
+    delta = algo.resolved_delta(input_variance(config.noise))
+    x, d = sysid._signals(config, range(config.ensemble_runs))
+    sysid._adapt(algo, delta, x, d)  # an ensemble (R,), on the block route and ap_update's
+    sysid._adapt(algo, delta, x[0], d[0])  # a lone run, B = ()
+    assert all(checked.values()), checked
