@@ -198,9 +198,7 @@ def lms_update(w: np.ndarray, x: np.ndarray, desired, mu):
     """
     y = np.vecdot(x, w)
     e = desired - y
-    scale = mu * e
-    # a single member's scale multiplies as a scalar, much faster than broadcast
-    return w + (scale[..., None] if scale.ndim else scale) * x, y, e
+    return w + (mu * e)[..., None] * x, y, e
 
 
 def ap_update(w: np.ndarray, X: np.ndarray, d_vec: np.ndarray, mu, delta: float):

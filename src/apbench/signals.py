@@ -35,11 +35,6 @@ FREQ_BLOCK_ENTRIES = 4095
 
 _SEED_MASK = (1 << 64) - 1
 
-# the fewest rows that _ar1_rows colors at least as fast as generate_noise's
-# Python-float loop does one row at a time: 12 rows took 19.3 against 19.2 ms
-# at 20,000 samples, 2 rows 17.3 against 3.4 ms and 64 rows 36 against 116 ms
-AR1_COLUMN_ROWS = 12
-
 # the most float64 elements numpy can describe in one array: it refuses a
 # longer one outright, so a count above it fails validation instead
 MAX_COUNT = np.iinfo(np.intp).max // 8
@@ -171,7 +166,6 @@ def _ar1_rows(w: np.ndarray, a: float) -> None:
 
     y = w[:, n] + a*y runs over time on (R,) columns, with the operations of
     the Python-float loop, so each row equals that loop's output bit for bit.
-    Below AR1_COLUMN_ROWS rows the Python-float loop is faster.
     """
     y, ay, a = np.zeros(w.shape[0]), np.empty(w.shape[0]), np.float64(a)
     for col in w.T:

@@ -29,8 +29,8 @@ from .algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, _ap_correct, _a
 from .algorithms import ap_step  # noqa: F401
 from .linalg import residual_error, singular_error
 from .metrics import MseTrace, _db
-from .signals import (_SEED_MASK, AR1_COLUMN_ROWS, NoiseKind, NoiseSpec, _ar1_rows,
-                      _check_count, _check_real, _check_seed, generate_noise, input_variance)
+from .signals import (_SEED_MASK, NoiseKind, NoiseSpec, _ar1_rows, _check_count, _check_real,
+                      _check_seed, generate_noise, input_variance)
 
 __all__ = [
     "PlantModel",
@@ -189,8 +189,9 @@ def _signals_key(config: ExperimentConfig, run_indices: range) -> tuple:
 def _signals(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, np.ndarray]:
     """Inputs x and desired responses d of the runs, (*B, T) each.
 
-    Run r fills row r of (R, T) arrays; one run returns its row 0 views, B = (),
-    as the projection loop steps faster on their numpy-scalar entries.
+    Run r fills row r of (R, T) arrays. One run returns its row 0 views, B = ():
+    a lone projection run then steps on numpy scalars, and a µ sweep of one run
+    (long_trace's) adapts at batch (V,) instead of (V, 1), which is faster.
     """
     _, memo = _SCOPE.get() or ({}, None)
     if memo is not None:
@@ -201,8 +202,8 @@ def _signals(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, 
     T = config.iterations
     x, d = np.empty((len(run_indices), T)), np.empty((len(run_indices), T))
     seeds = [(config.base_seed ^ r) & _SEED_MASK for r in run_indices]
-    # an AR(1) input of many runs is drawn white per run, then colored for all at once
-    ar1 = config.noise.kind is NoiseKind.AR1_COLORED and len(seeds) >= AR1_COLUMN_ROWS
+    # an AR(1) input is drawn white per run, then colored for all runs at once
+    ar1 = config.noise.kind is NoiseKind.AR1_COLORED
     source = replace(config.noise, kind=NoiseKind.WHITE) if ar1 else config.noise
     for row, seed in zip(x, seeds):
         row[:] = generate_noise(replace(source, seed=seed), T)
@@ -214,7 +215,8 @@ def _signals(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, 
         if sigma_v > 0:
             spec = NoiseSpec(NoiseKind.WHITE, sigma_v, seed=seed ^ MEASUREMENT_STREAM_SALT)
             d_row += generate_noise(spec, T)
-    if len(seeds) == 1:  # for the projection loop; the LMS loop batches them again
+    # a lone projection run steps on numpy scalars; long_trace's sweep adapts at (V,)
+    if len(seeds) == 1:
         x, d = x[0], d[0]
     if memo is not None:
         # an in-place edit by one variant would otherwise reach the next

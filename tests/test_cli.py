@@ -872,6 +872,16 @@ def test_a_mu_sweep_file_equals_unscoped_runs_bit_for_bit(tmp_path, monkeypatch)
         _assert_same_ensemble(res.ensemble, ensemble)
 
 
+def test_a_one_run_mu_sweep_adapts_at_one_axis(tmp_path, monkeypatch):
+    # _signals' row-0 views for a lone run keep long_trace's sweep at (V,), not (V, 1)
+    config = _lms_sweep(tmp_path, [0.05, 0.01, 0.1])
+    config["ensemble_runs"] = 1
+    spec = load_experiment_file(_write_config(tmp_path, config))
+    calls = _record_adapt(monkeypatch)
+    cli.run_experiment_file(spec)
+    assert calls == [(AlgorithmKind.LMS, 7, [0.05, 0.01, 0.1], (3,))]
+
+
 def test_a_mixed_file_adapts_only_its_lms_variants_of_one_length_together(tmp_path,
                                                                          monkeypatch):
     config = _tiny_config(tmp_path / "out", plant={"design": {"num_taps": 5, "cutoff_fn": 0.5}})

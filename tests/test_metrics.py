@@ -1,5 +1,7 @@
 """Tests for smoothing, onset detection and misalignment."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -89,6 +91,30 @@ class TestSmooth:
             out = smooth(MseTrace(values), w).values_db
             assert out.tobytes() == _smooth_convolved(values, w).tobytes(), w
         assert smooth(MseTrace(values), 1).values_db.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("n", [37, 50, 301])
+    def test_within_a_derived_bound_of_an_fsum_window_mean(self, n):
+        # a twin of the bit test above that holds in any summation order: each position
+        # is 10 log10 of the math.fsum mean of its clipped window of Python-float powers.
+        # Both sides divide by 10 alike, then differ by at most pow_ulp ulp per power,
+        # (W - 1) u for smooth's sum of W positive terms, u for the fsum and u per
+        # division; that relative error moves the dB value by 10/ln 10 times as much.
+        # Each log10 adds log_ulp ulp of |log10| < 32, times 10, and the final
+        # multiplication half an ulp of |dB| < 512 on each side
+        u, pow_ulp, log_ulp = 2.0 ** -53, 4, 4
+        values = np.random.default_rng(n).uniform(-280.0, 40.0, n)
+        lin = [10.0 ** (v / 10.0) for v in values.tolist()]
+        for w in sorted({2, 10, 37, n} & set(range(2, n + 1))):
+            mean_rel = 2 * pow_ulp * 2 * u + (w - 1) * u + 3 * u
+            bound = 10 / math.log(10) * mean_rel + 10 * 2 * log_ulp * math.ulp(31.0) \
+                + math.ulp(511.0)
+            back, fwd = w // 2, (w - 1) // 2
+            expected = []
+            for i in range(n):
+                window = lin[max(0, i - back):min(n, i + fwd + 1)]
+                expected.append(10.0 * math.log10(math.fsum(window) / len(window)))
+            got = smooth(MseTrace(values), w).values_db
+            assert np.abs(got - expected).max() <= bound, w
 
     def test_window_validation(self):
         trace = MseTrace(np.zeros(5))

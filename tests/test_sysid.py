@@ -11,8 +11,8 @@ from apbench import algorithms, linalg, sysid
 from apbench.algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, lms_update,
                                 step_multiplies)
 from apbench.metrics import misalignment_db
-from apbench.signals import (AR1_COLUMN_ROWS, NoiseKind, NoiseSpec, design_highpass_fir,
-                             generate_noise, input_variance)
+from apbench.signals import (NoiseKind, NoiseSpec, design_highpass_fir, generate_noise,
+                             input_variance)
 from apbench.sysid import (
     MEASUREMENT_STREAM_SALT,
     AdaptationError,
@@ -562,11 +562,11 @@ def test_the_lms_kernel_sums_each_product_left_to_right(batch):
     assert diverged == [False] * (len(diverged) // 2) + [True] * (len(diverged) // 2)
 
 
-@pytest.mark.parametrize("runs", [1, 2, AR1_COLUMN_ROWS])
+@pytest.mark.parametrize("runs", [1, 2, 12])
 @pytest.mark.parametrize("a", [-0.9, 0.0, 0.9])
 def test_each_member_of_an_ar1_ensemble_equals_generate_noise_bit_for_bit(a, runs):
-    # from AR1_COLUMN_ROWS runs on, the ensemble colors all runs at once; generate_noise
-    # colors one run in Python floats. A lone run takes the same route, as (T,) arrays
+    # the ensemble colors all its runs at once, a lone run as (T,) arrays; generate_noise
+    # colors one run in Python floats
     noise = NoiseSpec(NoiseKind.AR1_COLORED, sigma=1.0, ar_coefficient=a)
     config = _signal_config(noise=noise, iterations=301, runs=runs)
     T, h, sigma_v = config.iterations, config.plant.h, config.plant.measurement_noise_sigma
