@@ -312,7 +312,7 @@ def step_multiplies(kind: AlgorithmKind, filter_length: int, projection_order: i
     inverse term as the total cost of one N x N inverse (the corrected count;
     see step_multiplies_literal for the uncorrected reading).
     """
-    L = filter_length
+    L = _check_count("filter_length", filter_length)
     if kind is AlgorithmKind.LMS:
         if projection_order != 1:
             raise ValueError("LMS has projection order 1")
@@ -335,9 +335,9 @@ def step_multiplies_literal(kind: AlgorithmKind, filter_length: int,
     inverse and is reported only for side-by-side comparison.
     """
     if kind is AlgorithmKind.R_AP:
-        N = projection_order
-        _check_count("projection_order", N)
-        return 2 * N * filter_length + i_inv(N) * N**2
+        L = _check_count("filter_length", filter_length)
+        N = _check_count("projection_order", projection_order)
+        return 2 * N * L + i_inv(N) * N**2
     return step_multiplies(kind, filter_length, projection_order)
 
 

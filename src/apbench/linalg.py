@@ -91,18 +91,19 @@ def _residual_norm(a: list, x: list, b: list, n: int, held) -> tuple[list, objec
     return r, (_largest([abs(v) for v in r]) > bound) & held
 
 
-def _factor(a: list, n: int, delta: float) -> tuple[list, object]:
-    """Lower Cholesky factor of the entry lists ``a`` + delta*I: (chol, singular).
+def _factor(gram, n: int, delta: float) -> tuple[list, list, object]:
+    """The regularized entries of ``gram`` + delta*I and their lower Cholesky factor.
 
-    ``a`` is the Gram matrix as n rows of n entries, arrays or scalars over
-    the stack; its diagonal receives delta in place, so that ``a`` is
-    the regularized matrix that _residual_norm measures residuals against.
-    The factor depends on the matrix alone, so one factorization serves
-    every right-hand side solved against it. It is built column by column
-    with a relative pivot check: a member whose pivot falls to PIVOT_RTOL
-    times its own largest diagonal entry or below is flagged singular; its
-    factor is finished with unit pivots and must not be used.
+    ``gram`` is a (..., n, n) array. Returns (a, chol, singular): ``a`` is the
+    regularized matrix as n rows of n entries, arrays or scalars over the
+    stack, which _residual_norm measures residuals against. The factor
+    depends on the matrix alone, so one factorization serves every
+    right-hand side solved against it. It is built column by column with a
+    relative pivot check: a member whose pivot falls to PIVOT_RTOL times its
+    own largest diagonal entry or below is flagged singular; its factor is
+    finished with unit pivots and must not be used.
     """
+    a = [[gram[..., i, j] for j in range(n)] for i in range(n)]
     if delta:
         for i in range(n):
             a[i][i] = a[i][i] + delta
@@ -123,7 +124,7 @@ def _factor(a: list, n: int, delta: float) -> tuple[list, object]:
             for k in range(j):
                 s = s - row_i[k] * row_j[k]
             row_i[j] = s / dj
-    return chol, singular
+    return a, chol, singular
 
 
 def solve_stacked(gram, delta: float, rhs, skip=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,8 +154,7 @@ def solve_stacked(gram, delta: float, rhs, skip=None) -> tuple[np.ndarray, np.nd
     if b.shape != g.shape[:-1]:
         raise ValueError(f"rhs must have shape {g.shape[:-1]}, got {b.shape}")
 
-    a = [[g[..., i, j] for j in range(n)] for i in range(n)]
-    chol, singular = _factor(a, n, delta)
+    a, chol, singular = _factor(g, n, delta)
     held = np.logical_not(singular if skip is None else singular | skip)
     b = [b[..., i] for i in range(n)]
     x = _substitute(chol, b, n)

@@ -19,10 +19,13 @@ __all__ = [
     "misalignment_db",
     "MSE_FLOOR",
     "MSE_FLOOR_DB",
+    "ONSET_DROP_DB",
 ]
 
 MSE_FLOOR_DB = -300.0
 MSE_FLOOR = 10.0 ** (MSE_FLOOR_DB / 10.0)  # 1e-30, exactly
+# compute_tm confirms a descent once the smoothed curve falls this far below its running maximum
+ONSET_DROP_DB = 3.0
 
 
 def _db(values: np.ndarray, per_decade: float = 10.0) -> np.ndarray:
@@ -102,16 +105,15 @@ class TmReport:
     never_monotone: bool = False
 
 
-def compute_tm(trace: MseTrace, window: int = 10, slack_db: float = 0.1,
-               onset_drop_db: float = 3.0) -> TmReport:
+def compute_tm(trace: MseTrace, window: int = 10, slack_db: float = 0.1) -> TmReport:
     """Iteration index at which the smoothed curve starts decreasing.
 
     The descent is confirmed at the first index where the smoothed trace has
-    fallen ``onset_drop_db`` below its running maximum (it has left its
+    fallen ONSET_DROP_DB below its running maximum (it has left its
     initial plateau for good); the onset t_m is then the smallest index m
     from which every consecutive smoothed pair up to the confirmation point
     decreases by at least ``slack_db``. A trace that never drops
-    ``onset_drop_db`` below its running maximum never becomes monotone:
+    ONSET_DROP_DB below its running maximum never becomes monotone:
     t_m = len(trace) - 1 with the never_monotone flag set.
 
     A trace whose ``smoothing_window`` equals ``window`` is taken as already
@@ -122,8 +124,6 @@ def compute_tm(trace: MseTrace, window: int = 10, slack_db: float = 0.1,
     """
     if not slack_db >= 0:
         raise ValueError(f"slack_db must be >= 0, got {slack_db}")
-    if not onset_drop_db >= 0:
-        raise ValueError(f"onset_drop_db must be >= 0, got {onset_drop_db}")
     if trace.smoothing_window != window:
         trace = smooth(trace, window)
     s = trace.values_db
@@ -134,7 +134,7 @@ def compute_tm(trace: MseTrace, window: int = 10, slack_db: float = 0.1,
     for i in range(n):
         if s[i] > running_max:
             running_max = s[i]
-        elif s[i] <= running_max - onset_drop_db:
+        elif s[i] <= running_max - ONSET_DROP_DB:
             confirm = i
             break
     if confirm < 0:
@@ -149,9 +149,12 @@ def compute_tm(trace: MseTrace, window: int = 10, slack_db: float = 0.1,
 def misalignment_db(w, h) -> float:
     """Normalized weight-error 20*log10(||w - h|| / ||h||), floored at -300 dB.
 
-    Vectors of unequal length are compared after zero-padding the shorter.
+    Both are 1-D; vectors of unequal length are compared after zero-padding
+    the shorter.
     """
     wv, hv = np.asarray(w, dtype=float), np.asarray(h, dtype=float)
+    if wv.ndim != 1 or hv.ndim != 1:
+        raise ValueError(f"w and h must be 1-D vectors, got shapes {wv.shape} and {hv.shape}")
     size = max(wv.shape[0], hv.shape[0])
     wv, hv = (np.pad(v, (0, size - v.shape[0])) for v in (wv, hv))
     h_norm = float(np.linalg.norm(hv))

@@ -193,6 +193,7 @@ def design_highpass_fir(num_taps: int, cutoff_fn: float) -> np.ndarray:
     for unit magnitude at the Nyquist frequency. ``num_taps`` must be odd
     (type-I linear phase); the result is exactly symmetric about its center.
     """
+    num_taps = _integer("num_taps", num_taps)
     if num_taps < 1 or num_taps % 2 == 0:
         raise ValueError(f"num_taps must be an odd positive integer, got {num_taps}")
     _check_count("num_taps", num_taps)
@@ -244,6 +245,7 @@ def frequency_response(w, k_points: int) -> FrequencyResponse:
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or not w.size:
         raise ValueError(f"w must be a non-empty 1-D array, got shape {w.shape}")
+    _check_real("w", w)
     omegas, (magnitude_db,) = _responses_db([w], k_points)
     return FrequencyResponse(omegas=omegas, magnitude_db=magnitude_db)
 
@@ -254,6 +256,7 @@ def _responses_db(vectors, k_points: int):
     Each block's phase matrix is built once for all the vectors; a shorter
     vector uses its leading columns.
     """
+    k_points = _integer("k_points", k_points)
     if k_points < 2:
         raise ValueError(f"k_points must be >= 2, got {k_points}")
     coeffs = [np.asarray(w, dtype=float) for w in vectors]

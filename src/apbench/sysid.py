@@ -8,7 +8,8 @@ and the optional measurement noise with an independent salted stream, so
 ensembles are bit-reproducible and order-independent.
 
 _adapt is the one adaptation loop, over a batch of members at once: batch
-shape () for run_single, (R,) for run_ensemble and (V, *B) for an LMS µ sweep.
+shape (R,) for run_ensemble and (V, *B) for an LMS µ sweep; run_single's
+projection run adapts at shape () and its LMS run as a (1,) batch.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, _ap_correct, _a
 from .algorithms import ap_step  # noqa: F401
 from .linalg import residual_error, singular_error
 from .metrics import MseTrace, _db
-from .signals import (_SEED_MASK, NoiseKind, NoiseSpec, _ar1_rows, _check_count, _check_real,
-                      _check_seed, generate_noise, input_variance)
+from .signals import (NoiseKind, NoiseSpec, _ar1_rows, _check_count, _check_real, _check_seed,
+                      generate_noise, input_variance)
 
 __all__ = [
     "PlantModel",
@@ -201,7 +202,7 @@ def _signals(config: ExperimentConfig, run_indices: range) -> tuple[np.ndarray, 
     # allocated first, so an ensemble too large to hold fails before any run
     T = config.iterations
     x, d = np.empty((len(run_indices), T)), np.empty((len(run_indices), T))
-    seeds = [(config.base_seed ^ r) & _SEED_MASK for r in run_indices]
+    seeds = [config.base_seed ^ r for r in run_indices]
     # an AR(1) input is drawn white per run, then colored for all runs at once
     ar1 = config.noise.kind is NoiseKind.AR1_COLORED
     source = replace(config.noise, kind=NoiseKind.WHITE) if ar1 else config.noise
@@ -361,10 +362,8 @@ def _projection_loop(algo: AlgorithmConfig, delta: float, regressors: np.ndarray
         k, steps = min(start + 1, N), stop - start
         X = rows[start:stop, ..., :k, :]
         d_block = d_rows[start:stop, ..., :k]
-        gram = X @ np.swapaxes(X, -1, -2)
         # a[i][j] has shape (steps, *B): one step's entries of a single run are scalars
-        a = [[gram[..., i, j] for j in range(k)] for i in range(k)]
-        chol, singular = linalg._factor(a, k, delta)
+        a, chol, singular = linalg._factor(X @ np.swapaxes(X, -1, -2), k, delta)
         norm2 = np.vecdot(X[..., 0, :], X[..., 0, :])
         mus = list(np.minimum(1.0 / (algo.normalization_order * norm2), AUTO_MU_CAP)) if auto \
             else fixed_mus
@@ -473,7 +472,9 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunResult:
 
     The batched adaptation loop at batch shape (), or LMS's at (1,): its results
     are bit-identical to member ``run_index`` of any ensemble that contains it.
+    ``run_index`` is an unsigned 64-bit integer, as base_seed is.
     """
+    run_index = _check_seed("run_index", run_index)
     return _run(config, range(run_index, run_index + 1))[1][0]
 
 

@@ -365,6 +365,13 @@ class TestAlgorithmConfig:
     (lambda: lms_step(np.zeros(2), np.ones(2), 1.0, 0.0), "mu must be > 0, got 0.0"),
     (lambda: step_multiplies(AlgorithmKind.LMS, 4, 2), "LMS has projection order 1"),
     (lambda: step_multiplies(AlgorithmKind.BNDR_LMS, 4, 3), "BNDR-LMS has projection order 2"),
+    # unchecked, these counted 0, -4, 5.0 and 20 multiplies per step
+    (lambda: step_multiplies(AlgorithmKind.LMS, 0), "^filter_length must be >= 1, got 0$"),
+    (lambda: step_multiplies(AlgorithmKind.R_AP, -3, 2), "^filter_length must be >= 1, got -3$"),
+    (lambda: step_multiplies(AlgorithmKind.LMS, 2.5),
+     "^filter_length must be an integer, got 2.5$"),
+    (lambda: step_multiplies_literal(AlgorithmKind.R_AP, -3, 2),
+     "^filter_length must be >= 1, got -3$"),
     (lambda: ap_step(np.zeros(3), np.ones(3), [1.0], 1.0, 0.0),
      r"data matrix must be 2-D, got shape \(3,\)"),
     # unchecked, R_AP ran a string mode as fixed with mu=None and died in a bare TypeError
@@ -380,7 +387,9 @@ class TestAlgorithmConfig:
     (lambda: AlgorithmConfig(AlgorithmKind.BNDR_LMS, 4, mu_mode=MuMode.FIXED, mu=1.0,
                              normalization_order=1),
      "^normalization_order must be unset in fixed mode, got 1$"),
-], ids=["kind", "lms_step_mu", "lms_order", "bndr_lms_order", "ap_step_1d_data",
+], ids=["kind", "lms_step_mu", "lms_order", "bndr_lms_order", "lms_zero_length",
+        "r_ap_negative_length", "lms_fractional_length", "literal_negative_length",
+        "ap_step_1d_data",
         "r_ap_mu_mode_string", "lms_mu_mode_string", "mu_in_auto_mode",
         "lms_normalization_order", "fixed_normalization_order"])
 def test_invalid_arguments_are_rejected_with_their_message(call, message):

@@ -203,6 +203,14 @@ class TestDesignHighpassFir:
             design_highpass_fir(13, 1.0)
 
 
+# frequency_response's block edges: k_points across block counts, one full block of
+# FREQ_BLOCK_ENTRIES // taps rows, one row short of it and one row past it (two blocks)
+_FREQ_BLOCK_CASES = [
+    *itertools.product([2, 1023, 1024, 1025, 2049, 2051], [1, 13, 64]),
+    *((FREQ_BLOCK_ENTRIES // taps + d, taps) for taps in (13, 64) for d in (-1, 0, 1)),
+]
+
+
 class TestFrequencyResponse:
     def test_impulse_is_allpass(self):
         fr = frequency_response([1.0], 33)
@@ -241,12 +249,7 @@ class TestFrequencyResponse:
         with pytest.raises(ValueError):
             frequency_response([1.0], 1)
 
-    @pytest.mark.parametrize("k_points, taps", [
-        *itertools.product([2, 1023, 1024, 1025, 2049, 2051], [1, 13, 64]),
-        # one full block of FREQ_BLOCK_ENTRIES // taps rows, one row short of it
-        # and one row past it (two blocks)
-        *((FREQ_BLOCK_ENTRIES // taps + d, taps) for taps in (13, 64) for d in (-1, 0, 1)),
-    ])
+    @pytest.mark.parametrize("k_points, taps", _FREQ_BLOCK_CASES)
     def test_blocks_equal_the_one_shot_formula_bit_for_bit(self, k_points, taps):
         omegas = np.linspace(0.0, np.pi, k_points)
         phases = np.exp(-1j * np.outer(omegas, np.arange(taps)))
@@ -257,6 +260,25 @@ class TestFrequencyResponse:
             fr = frequency_response(w, k_points)
             assert fr.omegas.tobytes() == omegas.tobytes()
             assert fr.magnitude_db.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k_points, taps", _FREQ_BLOCK_CASES)
+    def test_blocks_lie_within_a_fixed_bound_of_a_longdouble_direct_sum(self, k_points, taps):
+        # the tolerance twin of the bitwise test, on any BLAS kernel. Bound, fixed before
+        # the first run: rounding the phase omega*t costs up to about pi*t/2 ulps and the
+        # sum about taps ulps, at most 3 * taps * eps * sum|w_t| together; the dB round
+        # trip adds up to about (1 + 2 ln10 |log10 m|) ulps of the magnitude m, taken twice
+        eps = np.finfo(float).eps
+        omegas = np.linspace(0.0, np.pi, k_points)
+        theta = omegas.astype(np.longdouble)[:, None] * np.arange(taps, dtype=np.longdouble)
+        for w in np.random.default_rng(taps).standard_normal((4, taps)):
+            fr = frequency_response(w, k_points)
+            np.testing.assert_array_equal(fr.omegas, omegas)
+            mag = 10.0 ** (fr.magnitude_db / 20.0)
+            w_ld = w.astype(np.longdouble)
+            ref = np.maximum(np.hypot(np.cos(theta) @ w_ld, np.sin(theta) @ w_ld), MAG_FLOOR)
+            bound = eps * (3 * taps * np.abs(w).sum()
+                           + 4 * ref * (1 + np.log(10) * np.abs(np.log10(ref))))
+            assert np.all(np.abs(mag - ref) <= bound)
 
     def test_memory_does_not_grow_with_the_grid(self):
         # one shot, 8192 x 64 complex phases alone are 8 MB (about 16 MB traced
@@ -280,7 +302,14 @@ class TestFrequencyResponse:
     (lambda: frequency_response([], 4), r"w must be a non-empty 1-D array, got shape \(0,\)"),
     (lambda: frequency_response([[1.0, 2.0]], 4),
      r"w must be a non-empty 1-D array, got shape \(1, 2\)"),
-], ids=["shapes", "not_increasing", "empty_vector", "2d_vector"])
+    # unchecked, a fractional count died in np.linspace's bare TypeError, and an
+    # infinite tap gave all-NaN magnitudes with a RuntimeWarning
+    (lambda: frequency_response([1.0, 0.5], 2.5), r"^k_points must be an integer, got 2\.5$"),
+    (lambda: frequency_response([1.0, np.inf], 4), r"^w must be finite, got \[ 1\. inf\]$"),
+    # unchecked, a string died in a bare TypeError
+    (lambda: design_highpass_fir("3", 0.4), "^num_taps must be an integer, got '3'$"),
+], ids=["shapes", "not_increasing", "empty_vector", "2d_vector", "fractional_k_points",
+        "infinite_tap", "string_num_taps"])
 def test_an_invalid_frequency_response_is_rejected_with_its_message(build, message):
     with pytest.raises(ValueError, match=message):
         build()

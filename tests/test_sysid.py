@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from apbench import algorithms, linalg, sysid
+from apbench import algorithms, cli, linalg, sysid
 from apbench.algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, lms_update,
                                 step_multiplies)
 from apbench.metrics import misalignment_db
@@ -42,14 +42,20 @@ def _straight_line_oracle(config, run_index):
     """Deliberately plain re-implementation of the adaptation loop.
 
     Explicit shift registers, numpy's own solver, no shared code with the
-    package loop beyond noise generation.
+    package loop beyond noise generation. The measurement noise, when there
+    is any, follows the documented seeding policy.
     """
     algo = config.algorithm
     L, N, T = algo.filter_length, algo.projection_order, config.iterations
     from dataclasses import replace
 
-    x = generate_noise(replace(config.noise, seed=config.base_seed ^ run_index), T)
+    seed = config.base_seed ^ run_index
+    x = generate_noise(replace(config.noise, seed=seed), T)
     d = np.convolve(x, config.plant.h)[:T]
+    sigma_v = config.plant.measurement_noise_sigma
+    if sigma_v > 0:
+        d = d + generate_noise(NoiseSpec(NoiseKind.WHITE, sigma_v,
+                                         seed=seed ^ MEASUREMENT_STREAM_SALT), T)
     hist = np.zeros((N, L))  # row i = regressor i samples ago
     w = np.zeros(L)
     mse = np.zeros(T)
@@ -153,6 +159,19 @@ class TestRunSingle:
         b = run_single(_config(algo, h, seed=5), 0)
         assert np.array_equal(a.mse_trace, b.mse_trace)
         assert np.array_equal(a.final_weights, b.final_weights)
+
+    @pytest.mark.parametrize("run_index, message", [
+        (-1, "must be an unsigned 64-bit integer, got -1"),
+        (2**64, f"must be an unsigned 64-bit integer, got {2**64}"),
+        (1.5, "must be an integer, got 1.5"),
+        ("1", "must be an integer, got '1'"),
+    ], ids=["negative", "too_large", "fractional", "string"])
+    def test_rejects_a_run_index_that_is_not_a_seed(self, run_index, message):
+        # unchecked, -1 and 2**64 ran as runs 2**64 - 1 and 0, and the others died in
+        # a bare TypeError
+        algo = AlgorithmConfig(AlgorithmKind.LMS, filter_length=2, mu=0.05)
+        with pytest.raises(ValueError, match=f"^run_index {message}$"):
+            run_single(_config(algo, [1.0, 0.5]), run_index)
 
     def test_noise_seed_field_is_overridden_per_run(self):
         h = [1.0, 0.5]
@@ -801,6 +820,27 @@ def test_projection_blocks_keep_every_bit(name, monkeypatch):
         assert len(checks) == 5
         assert [steps for steps, short in checks if short] == [sysid.PROJECTION_BLOCK, 2]
         assert len(solves) == sysid.PROJECTION_BLOCK + 2
+
+
+# Left out, and bit-pinned only: the delta = 0 block cases whose warm-up sheds rows,
+# which the oracle does not model, and the cases in which a run fails.
+@pytest.mark.parametrize("case", ["bndr_auto", "r_ap3_delta1e-8", "r_ap4_delta1e-8",
+                                  "r_ap2_recovers_mid_block", "white:r_ap", "white:bndr_lms",
+                                  "colored:r_ap", "colored:bndr_lms"])
+def test_every_ensemble_member_matches_the_straight_line_oracle(case):
+    # the (R,) block route against a recursion that shares no code with it, within
+    # the tolerance of the single-run oracle tests
+    if case in _BLOCK_CASES:
+        config = _block_case(case)
+    else:
+        name, variant = case.split(":")
+        spec = cli.load_experiment_file(cli.resolve_config_path(name))
+        config = replace(spec.experiment_config(dict(spec.variants)[variant]), ensemble_runs=3)
+    for r, run in enumerate(run_ensemble(config).runs):
+        oracle_mse, oracle_w = _straight_line_oracle(config, r)
+        mask = oracle_mse > 1e-12
+        np.testing.assert_allclose(run.mse_trace[mask], oracle_mse[mask], rtol=1e-6)
+        np.testing.assert_allclose(run.final_weights, oracle_w, atol=1e-9)
 
 
 @pytest.mark.parametrize("name", ["bndr_auto_fir_leading_zero", "r_ap3_delta0"])
