@@ -20,7 +20,8 @@ import numpy as np
 from .linalg import SingularMatrixError, residual_error, singular_error, solve_stacked
 # not called here; it stays a module attribute for code that looks it up or wraps it here
 from .linalg import solve_regularized  # noqa: F401
-from .signals import TapDelayLine, _check_count, _check_real
+from .metrics import _check_count, _check_real
+from .signals import TapDelayLine
 
 __all__ = [
     "AlgorithmKind",
@@ -101,9 +102,9 @@ class AlgorithmConfig:
 
         order = 1 if lms else 2  # the default, and the only valid order unless R_AP
         _default("projection_order", order)
+        _count("projection_order")
         if not r_ap and self.projection_order != order:
             raise ValueError(f"{name} requires projection_order == {order}")
-        _count("projection_order")
         _default("mu_mode", MuMode.FIXED if lms else MuMode.AUTO_NORMALIZED)
         if not isinstance(self.mu_mode, MuMode):
             raise ValueError(f"mu_mode must be a MuMode, got {self.mu_mode!r}")
@@ -119,7 +120,7 @@ class AlgorithmConfig:
             _default("normalization_order", self.projection_order if r_ap else 1)
 
         if not r_ap:
-            if self.delta not in (None, 0, 0.0):
+            if self.delta is not None and _check_real("delta", self.delta) != 0:
                 raise ValueError(f"{name} requires delta == 0, got {self.delta}")
             object.__setattr__(self, "delta", 0.0)
         elif self.delta is not None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import numbers
 import re
 import sys
 from importlib import resources
@@ -30,8 +29,9 @@ import numpy as np
 from . import selftest as selftest_mod
 from .algorithms import AlgorithmConfig, AlgorithmKind, MuMode, step_multiplies_literal
 from .artifacts import write_artifacts
-from .metrics import TmReport, _integer, compute_tm, misalignment_db, smooth
-from .signals import NoiseKind, NoiseSpec, _check_count, _check_real, design_highpass_fir
+from .metrics import (TmReport, _check_count, _check_real, _integer, compute_tm, misalignment_db,
+                      smooth)
+from .signals import NoiseKind, NoiseSpec, design_highpass_fir
 from .sysid import (AdaptationError, EnsembleResult, ExperimentConfig, PlantModel,
                     _shared_signals, run_ensemble)
 
@@ -88,8 +88,7 @@ class ExperimentFile:
                                  f"got {self.variants!r}")
             for field in ("smoothing_window", "freq_points"):
                 object.__setattr__(self, field, _integer(field, getattr(self, field)))
-            if not isinstance(self.tm_slack_db, numbers.Real):
-                raise ValueError(f"tm_slack_db must be a number, got {self.tm_slack_db!r}")
+            _check_real("tm_slack_db", self.tm_slack_db)
         except ValueError as exc:
             raise ConfigError(f"invalid experiment file: {exc}") from exc
         # each variant name is the stem of its CSV files in the output directory

@@ -27,6 +27,8 @@ import functools
 
 import numpy as np
 
+from .metrics import _check_real
+
 __all__ = [
     "SingularMatrixError",
     "solve_regularized",
@@ -142,8 +144,7 @@ def solve_stacked(gram, delta: float, rhs, skip=None) -> tuple[np.ndarray, np.nd
     (...)) are neither refined nor held to the residual bound: their
     solution is not going to be used.
     """
-    if not delta >= 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    _check_real("delta", delta, 0)
     g = np.asarray(gram, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError(f"gram must be square, got shape {g.shape}")

@@ -1,7 +1,8 @@
 """Learning-curve post-processing: smoothing, onset detection, weight match.
 
 MSE traces are handled in dB but smoothed in the linear domain. Every dB value
-in apbench comes from _db, whose floor keeps deep convergence finite.
+in apbench comes from _db, whose floor keeps deep convergence finite. Every
+module checks its numbers with the rules here: _integer, _check_count, _check_seed, _check_real.
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ MSE_FLOOR = 10.0 ** (MSE_FLOOR_DB / 10.0)  # 1e-30, exactly
 # compute_tm confirms a descent once the smoothed curve falls this far below its running maximum
 ONSET_DROP_DB = 3.0
 
+_SEED_MASK = (1 << 64) - 1
+
+# the most float64 elements numpy can describe in one array: it refuses a
+# longer one outright, so a count above it fails validation instead
+MAX_COUNT = np.iinfo(np.intp).max // 8
+
 
 def _db(values: np.ndarray, per_decade: float = 10.0) -> np.ndarray:
     """10 (powers) or 20 (magnitudes) * log10 of values, floored at MSE_FLOOR_DB, in place."""
@@ -37,11 +44,42 @@ def _db(values: np.ndarray, per_decade: float = 10.0) -> np.ndarray:
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int, or a ValueError naming it; signals' counts and seeds use it too."""
+    """``value`` as an int or a ValueError naming it: a float or bool is refused, as in a file."""
     try:
-        return operator.index(value)  # a float is refused, even an integral one
+        return operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_count(name: str, count) -> int:
+    """The one rule for a count: an integer, 1 <= count <= MAX_COUNT. Returns it."""
+    count = _integer(name, count)
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    if count > MAX_COUNT:
+        raise ValueError(f"{name} must be at most {MAX_COUNT}, got {count}")
+    return count
+
+
+def _check_seed(name: str, seed) -> int:
+    """The one rule for a seed: an unsigned 64-bit integer. Returns it."""
+    seed = _integer(name, seed)
+    if not 0 <= seed <= _SEED_MASK:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
+def _check_real(name: str, value, low=None, strict=False, ndim=0):
+    """The one rule for a real, or a vector of reals at ndim 1: held by numpy as an int or float,
+    finite and, given low, >= low (> if strict). Returns it."""
+    values = np.asarray(value)
+    if values.dtype.kind not in "iuf" or values.ndim != ndim:
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if low is not None and not (value > low if strict else value >= low):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -57,10 +95,8 @@ class MseTrace:
             raise ValueError("values_db must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.values_db)):
             raise ValueError("values_db must be finite (floor-clamp upstream)")
-        window = _integer("smoothing_window", self.smoothing_window)
-        if window < 1:
-            raise ValueError(f"smoothing_window must be >= 1, got {window}")
-        object.__setattr__(self, "smoothing_window", window)
+        object.__setattr__(self, "smoothing_window",
+                           _check_count("smoothing_window", self.smoothing_window))
 
     def __len__(self) -> int:
         return self.values_db.shape[0]
@@ -122,8 +158,7 @@ def compute_tm(trace: MseTrace, window: int = 10, slack_db: float = 0.1) -> TmRe
 
     The result is invariant to adding a constant (in dB) to the whole trace.
     """
-    if not slack_db >= 0:
-        raise ValueError(f"slack_db must be >= 0, got {slack_db}")
+    _check_real("slack_db", slack_db, 0)
     if trace.smoothing_window != window:
         trace = smooth(trace, window)
     s = trace.values_db

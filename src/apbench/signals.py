@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .metrics import MSE_FLOOR_DB, _db, _integer
+from .metrics import MSE_FLOOR_DB, _check_count, _check_real, _check_seed, _db, _integer
 
 __all__ = [
     "TapDelayLine",
@@ -32,39 +32,6 @@ MAG_FLOOR = 10.0 ** (MSE_FLOOR_DB / 20.0)
 # the most phases (rows x taps) in one frequency_response block: OpenBLAS threads
 # a longer complex product, and a threaded call may stall for milliseconds
 FREQ_BLOCK_ENTRIES = 4095
-
-_SEED_MASK = (1 << 64) - 1
-
-# the most float64 elements numpy can describe in one array: it refuses a
-# longer one outright, so a count above it fails validation instead
-MAX_COUNT = np.iinfo(np.intp).max // 8
-
-
-def _check_count(name: str, count) -> int:
-    """The one rule for a count: an integer, 1 <= count <= MAX_COUNT. Returns it."""
-    count = _integer(name, count)
-    if count < 1:
-        raise ValueError(f"{name} must be >= 1, got {count}")
-    if count > MAX_COUNT:
-        raise ValueError(f"{name} must be at most {MAX_COUNT}, got {count}")
-    return count
-
-
-def _check_seed(name: str, seed) -> int:
-    """The one rule for a seed: an unsigned 64-bit integer. Returns it."""
-    seed = _integer(name, seed)
-    if not 0 <= seed <= _SEED_MASK:
-        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed}")
-    return seed
-
-
-def _check_real(name: str, value, low=None, strict=False):
-    """The one rule for a real or a vector of reals: finite and, given low, >= low (> if strict)."""
-    if low is not None and not (value > low if strict else value >= low):
-        raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")
-    if not np.isfinite(value).all():
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
 
 
 class TapDelayLine:
@@ -125,16 +92,17 @@ class NoiseSpec:
             raise ValueError(f"kind must be a NoiseKind, got {self.kind!r}")
         _check_real("sigma", self.sigma, 0)
         object.__setattr__(self, "seed", _check_seed("seed", self.seed))
+        _check_real("ar_coefficient", self.ar_coefficient)
         if self.kind is NoiseKind.AR1_COLORED and not abs(self.ar_coefficient) < 1:
             raise ValueError(
                 f"ar_coefficient must lie in (-1, 1) for a stable AR(1) process, "
                 f"got {self.ar_coefficient}"
             )
         if self.kind is NoiseKind.FIR_COLORED:
-            if not self.fir_coefficients:
+            if np.ndim(self.fir_coefficients) != 1 or not np.size(self.fir_coefficients):
                 raise ValueError("fir_coefficients must be a non-empty sequence")
-            object.__setattr__(self, "fir_coefficients", _check_real(
-                "fir_coefficients", tuple(float(c) for c in self.fir_coefficients)))
+            object.__setattr__(self, "fir_coefficients", tuple(float(c) for c in _check_real(
+                "fir_coefficients", self.fir_coefficients, ndim=1)))
 
 
 def generate_noise(spec: NoiseSpec, count: int) -> np.ndarray:
@@ -193,11 +161,10 @@ def design_highpass_fir(num_taps: int, cutoff_fn: float) -> np.ndarray:
     for unit magnitude at the Nyquist frequency. ``num_taps`` must be odd
     (type-I linear phase); the result is exactly symmetric about its center.
     """
-    num_taps = _integer("num_taps", num_taps)
-    if num_taps < 1 or num_taps % 2 == 0:
+    num_taps = _check_count("num_taps", num_taps)
+    if num_taps % 2 == 0:
         raise ValueError(f"num_taps must be an odd positive integer, got {num_taps}")
-    _check_count("num_taps", num_taps)
-    if not 0.0 < cutoff_fn < 1.0:
+    if not 0.0 < _check_real("cutoff_fn", cutoff_fn) < 1.0:
         raise ValueError(f"cutoff_fn must lie in (0, 1), got {cutoff_fn}")
     if num_taps == 1:
         # Degenerate single-tap case: inversion of the raw kernel gives
@@ -245,7 +212,7 @@ def frequency_response(w, k_points: int) -> FrequencyResponse:
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or not w.size:
         raise ValueError(f"w must be a non-empty 1-D array, got shape {w.shape}")
-    _check_real("w", w)
+    _check_real("w", w, ndim=1)
     omegas, (magnitude_db,) = _responses_db([w], k_points)
     return FrequencyResponse(omegas=omegas, magnitude_db=magnitude_db)
 

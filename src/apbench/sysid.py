@@ -29,9 +29,8 @@ from .algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, _ap_correct, _a
 # looks it up or wraps it here
 from .algorithms import ap_step  # noqa: F401
 from .linalg import residual_error, singular_error
-from .metrics import MseTrace, _db
-from .signals import (NoiseKind, NoiseSpec, _ar1_rows, _check_count, _check_real, _check_seed,
-                      generate_noise, input_variance)
+from .metrics import MseTrace, _check_count, _check_real, _check_seed, _db
+from .signals import NoiseKind, NoiseSpec, _ar1_rows, generate_noise, input_variance
 
 __all__ = [
     "PlantModel",
@@ -80,10 +79,10 @@ class PlantModel:
     measurement_noise_sigma: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
-        if self.h.ndim != 1 or self.h.shape[0] < 1:
+        if np.ndim(self.h) != 1 or not np.size(self.h):
             raise ValueError("plant h must be a non-empty 1-D coefficient array")
-        _check_real("plant h", self.h)
+        object.__setattr__(self, "h", np.asarray(_check_real("plant h", self.h, ndim=1),
+                                                 dtype=float))
         _check_real("measurement_noise_sigma", self.measurement_noise_sigma, 0)
 
     @property

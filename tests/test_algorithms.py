@@ -387,11 +387,21 @@ class TestAlgorithmConfig:
     (lambda: AlgorithmConfig(AlgorithmKind.BNDR_LMS, 4, mu_mode=MuMode.FIXED, mu=1.0,
                              normalization_order=1),
      "^normalization_order must be unset in fixed mode, got 1$"),
+    # unchecked, a bool step size ran as mu = 1
+    (lambda: AlgorithmConfig(AlgorithmKind.LMS, 4, mu=True), "^mu must be a number, got True$"),
+    # unchecked, a sequence died in a bare TypeError or numpy's ambiguous truth value
+    (lambda: AlgorithmConfig(AlgorithmKind.R_AP, 4, mu_mode=MuMode.FIXED, mu=(0.5,)),
+     r"^mu must be a number, got \(0\.5,\)$"),
+    (lambda: AlgorithmConfig(AlgorithmKind.LMS, 4, mu=0.1, delta=np.array([0.0, 1.0])),
+     r"^delta must be a number, got array\(\[0\., 1\.\]\)$"),
+    (lambda: AlgorithmConfig(AlgorithmKind.LMS, 4, mu=0.1, projection_order=np.array([1, 2])),
+     r"^projection_order must be an integer, got array\(\[1, 2\]\)$"),
 ], ids=["kind", "lms_step_mu", "lms_order", "bndr_lms_order", "lms_zero_length",
         "r_ap_negative_length", "lms_fractional_length", "literal_negative_length",
         "ap_step_1d_data",
         "r_ap_mu_mode_string", "lms_mu_mode_string", "mu_in_auto_mode",
-        "lms_normalization_order", "fixed_normalization_order"])
+        "lms_normalization_order", "fixed_normalization_order", "mu_bool", "mu_tuple",
+        "lms_delta_array", "lms_projection_order_array"])
 def test_invalid_arguments_are_rejected_with_their_message(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -1,24 +1,31 @@
 """Tests for the experiment-file CLI: validation, artifacts, determinism."""
 
+import contextlib
 import csv
 import dataclasses
 import decimal
+import enum
 import gc
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import apbench.linalg
 import apbench.selftest
 from apbench import artifacts, cli, sysid
-from apbench.algorithms import (AlgorithmConfig, AlgorithmKind, step_multiplies,
+from apbench.algorithms import (AlgorithmConfig, AlgorithmKind, MuMode, step_multiplies,
                                 step_multiplies_literal)
 from apbench.cli import (
     ConfigError,
@@ -29,9 +36,8 @@ from apbench.cli import (
     resolve_config_path,
     write_artifacts,
 )
-from apbench.metrics import MseTrace, TmReport
-from apbench.signals import (MAX_COUNT, NoiseKind, NoiseSpec, design_highpass_fir,
-                             frequency_response)
+from apbench.metrics import MAX_COUNT, MseTrace, TmReport
+from apbench.signals import NoiseKind, NoiseSpec, design_highpass_fir, frequency_response
 from apbench.sysid import AdaptationError, EnsembleResult, PlantModel, RunResult, run_ensemble
 
 import pins
@@ -404,6 +410,11 @@ class TestRunCommand:
         pytest.param("variants", (("a", _LMS7), ("a", _LMS7)),
                      "algorithm variant names must be unique", id="duplicate_names"),
         pytest.param("variants", (), "algorithms must be a non-empty list", id="no_variants"),
+        # unchecked, an infinite slack and a bool window ran
+        pytest.param("tm_slack_db", np.inf, "tm_slack_db must be finite, got inf",
+                     id="infinite_slack"),
+        pytest.param("smoothing_window", True, "smoothing_window must be an integer, got True",
+                     id="bool_window"),
     ])
     def test_a_replaced_field_of_the_wrong_type_is_a_config_error_naming_it(self, tmp_path,
                                                                            field, value, message):
@@ -1268,3 +1279,156 @@ def test_import_leaves_scipy_signal_unloaded(tmp_path):
                           env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.csv").is_file()
+
+
+# The CLI contract as properties: every file ends in exit 0, 1 or 2 and never in a
+# traceback, and every field a library config is given is accepted or refused by name.
+# derandomize draws the same examples on every run, and database=None keeps no example
+# database, so a failure found once cannot change what a later run draws.
+_PROPERTY = settings(derandomize=True, database=None, deadline=None)
+_EXTREMES = [1e308, -1e308, 5e-324, -0.0, float("inf"), float("nan")]
+_WRONG_TYPES = [None, True, "1", [1.0], {"a": 1}]
+# a few strings, as st.text() builds a Unicode table that costs seconds on a fresh checkout
+_STRINGS = st.sampled_from(["", "0.5", "lms", "white", "é"])
+_VARIANT = st.fixed_dictionaries({"name": st.sampled_from(["a", "b", "c"]),
+                                  "kind": st.sampled_from(["lms", "bndr_lms", "r_ap"]),
+                                  "filter_length": st.integers(1, 8)})
+_PLAUSIBLE = {  # by JSON key, whichever object holds it
+    "iterations": st.integers(1, 40), "ensemble_runs": st.integers(1, 3),
+    "base_seed": st.integers(0, 2**64), "output_dir": st.just("ignored"),
+    "smoothing_window": st.integers(1, 50), "tm_slack_db": st.floats(0.0, 3.0),
+    "freq_points": st.integers(2, 64), "description": _STRINGS,
+    "plant": st.just({"coefficients": [1.0, -0.5]}),
+    "noise": st.just({"kind": "white", "sigma": 1.0}),
+    "algorithms": st.lists(_VARIANT, max_size=2),
+    "design": st.just({"num_taps": 3, "cutoff_fn": 0.5}),
+    "coefficients": st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8),
+    "measurement_noise_sigma": st.floats(0.0, 0.5), "num_taps": st.integers(-1, 9),
+    "cutoff_fn": st.floats(0.0, 1.0),
+    "kind": st.sampled_from(["white", "ar1", "fir", "lms", "bndr_lms", "r_ap"]),
+    "sigma": st.floats(0.0, 2.0), "ar_coefficient": st.floats(-1.0, 1.0),
+    "fir_coefficients": st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+    "name": st.sampled_from(["a", "lms", "../x", ""]), "filter_length": st.integers(0, 8),
+    "mu": st.floats(0.0, 2.0), "mu_mode": st.sampled_from(["fixed", "auto", "pink"]),
+    "projection_order": st.integers(0, 4), "delta": st.floats(0.0, 1.0),
+    "normalization_order": st.integers(0, 4),
+}
+_KEYS = {
+    "file": ["iterations", "ensemble_runs", "base_seed", "plant", "noise", "algorithms",
+             "output_dir", "smoothing_window", "tm_slack_db", "freq_points", "description"],
+    "plant": ["design", "coefficients", "measurement_noise_sigma"],
+    "design": ["num_taps", "cutoff_fn"],
+    "noise": ["kind", "sigma", "ar_coefficient", "fir_coefficients"],
+    "variant": ["name", "kind", "filter_length", "mu", "mu_mode", "projection_order", "delta",
+                "normalization_order"],
+}
+
+
+@st.composite
+def _experiment_files(draw):
+    """A small runnable experiment file (T <= 40, R <= 3, L <= 8), then up to three edits:
+    a plausible value, an extreme or a wrong type set, a key dropped or an unknown one added."""
+    variants = []
+    for kind in draw(st.lists(st.sampled_from(["lms", "bndr_lms", "r_ap"]), min_size=1,
+                              max_size=3, unique=True)):
+        variant = {"name": kind, "kind": kind, "filter_length": draw(st.integers(1, 8))}
+        if kind == "lms":
+            variant["mu"] = draw(st.floats(0.001, 0.2))
+        if kind == "r_ap":
+            variant["projection_order"] = draw(st.integers(1, 4))
+        variants.append(variant)
+    design = {"num_taps": draw(st.sampled_from([1, 3, 5, 7])),
+              "cutoff_fn": draw(st.floats(0.05, 0.95))}
+    plant = draw(st.sampled_from([{"design": design},
+                                  {"coefficients": [1.0, 0.5], "measurement_noise_sigma": 0.1}]))
+    noise = draw(st.sampled_from([{"kind": "white", "sigma": 1.0},
+                                  {"kind": "ar1", "sigma": 0.5, "ar_coefficient": 0.6},
+                                  {"kind": "fir", "sigma": 1.0, "fir_coefficients": [1.0, 0.5]}]))
+    config = {key: draw(_PLAUSIBLE[key])
+              for key in ("iterations", "ensemble_runs", "base_seed", "freq_points")}
+    config.update(plant=plant, noise=noise, algorithms=variants)
+    objects = [("file", config), ("plant", plant), ("noise", noise)]
+    objects += [("variant", v) for v in variants]
+    if "design" in plant:
+        objects.append(("design", design))
+    for _ in range(draw(st.integers(0, 3))):
+        where, obj = draw(st.sampled_from(objects))
+        key = draw(st.sampled_from(_KEYS[where] + ["unknown_key"]))
+        if draw(st.integers(0, 3)) == 0:
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(st.one_of(_PLAUSIBLE.get(key, st.just(1)),
+                                      st.sampled_from(_EXTREMES + _WRONG_TYPES)))
+    return config
+
+
+@settings(_PROPERTY, max_examples=150)
+@given(config=_experiment_files())
+def test_every_file_ends_in_its_exit_code_with_one_error_line_or_every_artifact(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "exp.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))  # json writes nan and inf as NaN and Infinity
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("ignore")  # e.g. the LMS step-size warning
+            code = main(["run", str(path), "--out", str(out)])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2)
+        if code:
+            assert re.fullmatch(r"(runtime )?error: [^\n]*\n", err), err
+            assert not out.exists()
+        else:
+            assert err == ""
+            names = [v["name"] for v in config["algorithms"]]
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                [f"{n}_{s}.csv" for n in names for s in ("mse", "weights", "freqresp")]
+                + ["summary.csv"])
+
+
+_LMS4 = AlgorithmConfig(AlgorithmKind.LMS, filter_length=4, mu=0.1)
+_CONFIGS = [
+    ExperimentFile(plant=PlantModel(h=[1.0, -0.5]), noise=NoiseSpec(NoiseKind.WHITE, 1.0),
+                   iterations=20, ensemble_runs=2, base_seed=3, variants=(("lms", _LMS4),)),
+    _LMS4,
+    AlgorithmConfig(AlgorithmKind.BNDR_LMS, filter_length=4),
+    AlgorithmConfig(AlgorithmKind.R_AP, filter_length=4, projection_order=3),
+    AlgorithmConfig(AlgorithmKind.R_AP, filter_length=4, mu_mode=MuMode.FIXED, mu=0.5,
+                    delta=1e-3),
+    NoiseSpec(NoiseKind.WHITE, 1.0),
+    NoiseSpec(NoiseKind.AR1_COLORED, 1.0, ar_coefficient=0.5, seed=9),
+    NoiseSpec(NoiseKind.FIR_COLORED, 1.0, fir_coefficients=(1.0, 0.5)),
+    PlantModel(h=[1.0, 0.5]),
+    PlantModel(h=[1.0], measurement_noise_sigma=0.1),
+]
+_FIELD_VALUES = st.one_of(
+    st.integers(-3, 10), st.integers(-2**70, 2**70), st.floats(), st.booleans(), st.none(),
+    _STRINGS, st.sampled_from(_EXTREMES + [2**64, np.int64(3), np.float64(0.5),
+                                                      np.array([1.0, 2.0]), np.array(0.5)]),
+    st.lists(st.floats(), max_size=3).map(tuple), st.lists(_STRINGS, max_size=2),
+    st.sampled_from([*AlgorithmKind, *MuMode, *NoiseKind, *_CONFIGS]),
+    st.sampled_from([(("a", _LMS4),), (("a", _LMS4), ("a", _LMS4)), (("../x", _LMS4),), (),
+                     [("a", _LMS4)]]),
+)
+# the name a refusal must give: variants are the file's algorithms, and h is the plant's
+_NAMES = {"variants": ("variants", "algorithm"), "h": ("plant h",)}
+
+
+@settings(_PROPERTY, max_examples=500)
+@given(data=st.data())
+def test_a_replaced_field_is_accepted_or_refused_naming_it(data):
+    base = data.draw(st.sampled_from(_CONFIGS))
+    field = data.draw(st.sampled_from([f.name for f in dataclasses.fields(base)]))
+    value = data.draw(_FIELD_VALUES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # e.g. a plant longer than the filter
+        try:
+            dataclasses.replace(base, **{field: value})
+        except ValueError as exc:  # ConfigError included
+            names = _NAMES.get(field, (field,))
+            if value is None or isinstance(value, enum.Enum):
+                # a member, or None for the default, may break a rule shared with another
+                # field: then that field or the member may be the one named
+                names += tuple(f.name for f in dataclasses.fields(base))
+                names += (value.value,) if value is not None else ()
+            assert any(name in str(exc) for name in names), (field, value, str(exc))

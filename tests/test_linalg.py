@@ -87,6 +87,11 @@ def test_input_validation():
             solve_regularized(np.eye(2), delta, [1.0, 1.0])
         with pytest.raises(ValueError, match="delta must be >= 0"):
             solve_stacked(np.eye(2)[None], delta, np.ones((1, 2)))
+    # unchecked, inf was accepted and a string died in a bare TypeError
+    for delta, message in ((np.inf, "delta must be finite, got inf"),
+                           ("1", "delta must be a number, got '1'")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_stacked(np.eye(2)[None], delta, np.ones((1, 2)))
     with pytest.raises(ValueError):
         solve_regularized(np.ones((2, 3)), 0.0, [1.0, 1.0])
     with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 """Tests for smoothing, onset detection and misalignment."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from apbench import algorithms, cli, metrics, sysid
 from apbench.cli import load_experiment_file, resolve_config_path, run_experiment_file
 from apbench.metrics import MSE_FLOOR, MseTrace, compute_tm, misalignment_db, smooth
 
@@ -189,6 +192,12 @@ class TestComputeTm:
             compute_tm(MseTrace(np.zeros(10)), slack_db=-0.1)
         with pytest.raises(ValueError, match="slack_db must be >= 0"):
             compute_tm(MseTrace(-np.arange(200.0)), slack_db=float("nan"))
+        # unchecked, inf and True were accepted and a string died in a bare TypeError
+        for slack, message in ((np.inf, "slack_db must be finite, got inf"),
+                               ("0.1", r"slack_db must be a number, got '0\.1'"),
+                               (True, "slack_db must be a number, got True")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                compute_tm(MseTrace(-np.arange(50.0)), slack_db=slack)
 
 
 class TestMisalignment:
@@ -238,7 +247,9 @@ class TestMisalignment:
     ([0.0], 0, "smoothing_window must be >= 1, got 0"),
     ([0.0, -1.0, -2.0], 2.5, r"smoothing_window must be an integer, got 2\.5"),
     ([0.0, -1.0, -2.0], 2.0, r"smoothing_window must be an integer, got 2\.0"),
-], ids=["empty", "2d", "not_finite", "window", "window_fraction", "window_float"])
+    # unchecked, a bool was taken as a window of 1
+    ([0.0, -1.0, -2.0], True, "^smoothing_window must be an integer, got True$"),
+], ids=["empty", "2d", "not_finite", "window", "window_fraction", "window_float", "window_bool"])
 def test_an_invalid_trace_is_rejected_with_its_message(values, window, message):
     with pytest.raises(ValueError, match=message):
         MseTrace(values, smoothing_window=window)
@@ -247,3 +258,24 @@ def test_an_invalid_trace_is_rejected_with_its_message(values, window, message):
 def test_smooth_rejects_a_float_window_with_its_message():
     with pytest.raises(ValueError, match=r"window must be an integer, got 2\.0"):
         smooth(MseTrace([0.0, -1.0, -2.0]), 2.0)
+    # unchecked, a bool window returned the trace unsmoothed
+    with pytest.raises(ValueError, match="^window must be an integer, got True$"):
+        smooth(MseTrace([0.0, -1.0, -2.0]), True)
+
+
+def test_the_number_rules_have_one_home():
+    # a second copy of a rule is how a field comes to be checked by a rule of its own
+    rules = {"_integer", "_check_count", "_check_seed", "_check_real", "MAX_COUNT", "_SEED_MASK"}
+    for path in sorted(Path(metrics.__file__).parent.glob("*.py")):
+        if path.name == "metrics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            defined = {node.name} if isinstance(node, ast.FunctionDef) else {
+                t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)}
+            assert not defined & rules, (path.name, defined & rules)
+            imported = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                        else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            assert "numbers" not in imported, path.name
+    assert sysid._check_seed is metrics._check_seed
+    assert algorithms._check_real is metrics._check_real
+    assert cli._check_count is metrics._check_count

@@ -308,8 +308,11 @@ class TestFrequencyResponse:
     (lambda: frequency_response([1.0, np.inf], 4), r"^w must be finite, got \[ 1\. inf\]$"),
     # unchecked, a string died in a bare TypeError
     (lambda: design_highpass_fir("3", 0.4), "^num_taps must be an integer, got '3'$"),
+    # unchecked, a bool designed a 1-tap filter and a string cutoff died in a bare TypeError
+    (lambda: design_highpass_fir(True, 0.4), "^num_taps must be an integer, got True$"),
+    (lambda: design_highpass_fir(5, "0.4"), "^cutoff_fn must be a number, got '0.4'$"),
 ], ids=["shapes", "not_increasing", "empty_vector", "2d_vector", "fractional_k_points",
-        "infinite_tap", "string_num_taps"])
+        "infinite_tap", "string_num_taps", "bool_num_taps", "string_cutoff_fn"])
 def test_an_invalid_frequency_response_is_rejected_with_its_message(build, message):
     with pytest.raises(ValueError, match=message):
         build()

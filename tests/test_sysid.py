@@ -647,8 +647,23 @@ _LMS2 = AlgorithmConfig(AlgorithmKind.LMS, filter_length=2, mu=0.1)
     # the stacked input, 2**32 + 1 runs of 2**32 + 1 padded samples, wrapped in int64
     (lambda: _config(_LMS2, [1.0], iterations=np.int64(2**32), runs=np.int64(2**32 + 1)),
      r"ensemble_runs \* \(iterations \+ projection_order \+ filter_length - 2\) must be at most"),
+    # unchecked, a bool seeded 1, a white spec kept a string coefficient, an AR(1) one
+    # died in a bare TypeError and string taps were taken as floats
+    (lambda: NoiseSpec(NoiseKind.WHITE, 1.0, seed=True), "^seed must be an integer, got True$"),
+    (lambda: NoiseSpec(NoiseKind.WHITE, 1.0, ar_coefficient="0.5"),
+     "^ar_coefficient must be a number, got '0.5'$"),
+    (lambda: NoiseSpec(NoiseKind.AR1_COLORED, 1.0, ar_coefficient="0.5"),
+     "^ar_coefficient must be a number, got '0.5'$"),
+    (lambda: NoiseSpec(NoiseKind.FIR_COLORED, 1.0, fir_coefficients=("0.5", "1")),
+     r"^fir_coefficients must be a number, got \('0.5', '1'\)$"),
+    # unchecked, string taps were taken as floats and a lone number died in a bare TypeError
+    (lambda: PlantModel(h=["1.0", "0.5"]), r"^plant h must be a number, got \['1.0', '0.5'\]$"),
+    (lambda: NoiseSpec(NoiseKind.FIR_COLORED, 1.0, fir_coefficients=0.5),
+     "^fir_coefficients must be a non-empty sequence$"),
 ], ids=["filter_length", "noise_seed", "iterations", "ensemble_runs", "base_seed",
-        "wrapping_product"])
+        "wrapping_product", "noise_seed_bool", "white_ar_coefficient_string",
+        "ar1_coefficient_string", "fir_coefficients_strings", "plant_h_strings",
+        "fir_coefficients_scalar"])
 def test_a_non_integral_or_wrapping_count_or_seed_fails_at_construction(build, message):
     with pytest.raises(ValueError, match=message):
         build()
